@@ -168,14 +168,12 @@ def _journaled_main(argv) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if resume:
-        from .runtime import manifest
-
         counts = log.summary()
         done = counts.get("cell", 0)
         faults = counts.get("store-fault", 0) + counts.get("cell-fault", 0)
         print(f"resuming {log.run_id}: journal has {done} cell event(s), "
               f"{faults} fault event(s) — completed work replays from cache")
-        fan = manifest.describe(log.directory)
+        fan = journal.describe_fan(log.events())
         if fan:
             print(fan)
     else:

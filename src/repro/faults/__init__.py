@@ -9,17 +9,17 @@ temporal-consistency gating, tracker coasting, and a degraded/fallback ACC
 ladder.
 
 **Runtime plane** (:mod:`~repro.faults.runtime`): ``REPRO_FAULT_PLAN``
-hooks that deliberately crash / hang / fail grid-executor workers so the
-timeout, retry, and checkpoint/resume machinery in
-:mod:`repro.runtime.parallel` is itself testable.
+hooks that deliberately crash / hang / fail supervised workers (grid cells
+and serving replicas) so the timeout, retry, respawn and checkpoint/resume
+machinery in :mod:`repro.runtime.supervisor` and its clients is itself
+testable.
 
 Everything is seeded and deterministic: the same fault plan plus the same
 seeds produce bit-identical results under serial, parallel, and cached
 execution.
 """
 
-from .runtime import (FAULT_PLAN_ENV, InjectedFault, RuntimeFault,
-                      RuntimeFaultPlan)
+from .runtime import InjectedFault, RuntimeFault, RuntimeFaultPlan
 from .sensor import (FAULT_REGISTRY, CorruptFrame, ExposureShift, FaultEvent,
                      FrameDrop, NoiseBurst, PartialOcclusion, SensorFault,
                      SensorFaultInjector, StuckFrame, from_spec, make_fault)
@@ -32,5 +32,5 @@ __all__ = [
     "NoiseBurst", "CorruptFrame", "make_fault", "from_spec",
     "PerceptionWatchdog", "WatchdogConfig", "DegradationLevel",
     "GateDecision",
-    "RuntimeFaultPlan", "RuntimeFault", "InjectedFault", "FAULT_PLAN_ENV",
+    "RuntimeFaultPlan", "RuntimeFault", "InjectedFault",
 ]

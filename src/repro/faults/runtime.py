@@ -1,10 +1,12 @@
-"""Runtime-plane fault injection: make the grid executor's failure paths
-testable.
+"""Runtime-plane fault injection: make the supervised workers' failure
+paths testable.
 
-``REPRO_FAULT_PLAN`` describes deliberate faults to inject into
-:func:`repro.runtime.parallel.parallel_map` workers, so the timeout / retry /
-heartbeat machinery can be exercised deterministically (unit tests, chaos
-smoke runs) instead of waiting for a real OOM kill:
+``REPRO_FAULT_PLAN`` describes deliberate faults to inject into the workers
+of :class:`repro.runtime.supervisor.Supervisor` — the grid workers of
+:func:`repro.runtime.parallel.parallel_map` and the serving layer's
+replicas — so the timeout / retry / respawn machinery can be exercised
+deterministically (unit tests, chaos smoke runs) instead of waiting for a
+real OOM kill:
 
     REPRO_FAULT_PLAN="crash@2"            # item 2 hard-exits on attempt 0
     REPRO_FAULT_PLAN="raise@0,hang@3"     # item 0 raises, item 3 hangs
@@ -21,9 +23,13 @@ Grammar: comma-separated ``<kind>@<target>[:attempt=<n>]`` with kind one of
 ``<target>`` is either a numeric item index within a ``parallel_map`` batch
 (``crash@2``) or a *named scope* (``raise@zoo.detector``): long-running code
 outside the grid executor — notably the model zoo's training paths — calls
-:meth:`RuntimeFaultPlan.maybe_inject_scope` with its scope name, so chaos
-plans can target "the detector's training run" directly.  Scope attempts
-count per ``maybe_inject_scope`` call site via the caller's attempt number.
+:meth:`RuntimeFaultPlan.maybe_inject` with its scope name, so chaos plans
+can target "the detector's training run" directly.  Scope attempts count
+per call site via the caller's attempt number.  A supervised task answers
+to a tuple of targets (a grid cell to its item index, a request to
+``serve.replica.<slot>`` and ``serve.replica``); they fire in order, and
+the in-process fallback synthesizes a planned crash or hang from
+:func:`repro.runtime.supervisor.planned_outcome` instead of executing it.
 
 ``attempt`` defaults to 0, so by default a fault fires only on the first
 execution of the item and the *retry succeeds* — which is exactly the
@@ -57,8 +63,8 @@ They use the same grammar with the store's scope name
 (``REPRO_FAULT_PLAN=torn-write@store``, ``bitrot@store:attempt=2``); the
 store counts *write attempts per scope*, so ``attempt=0`` faults only the
 first write and the retry/reload path recovers.  Disk kinds never fire
-from :meth:`RuntimeFaultPlan.maybe_inject` / ``maybe_inject_scope`` — the
-store asks for them explicitly via :func:`maybe_disk_fault`.
+from :meth:`RuntimeFaultPlan.maybe_inject` — the store asks for them
+explicitly via :func:`maybe_disk_fault`.
 """
 
 from __future__ import annotations
@@ -70,18 +76,15 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..runtime import env
 
-# Historical name, kept importable; the registry is the source of truth.
-FAULT_PLAN_ENV = env.FAULT_PLAN.name
-
 #: how long a "hang" sleeps; far beyond any sane per-cell timeout, but
 #: bounded so an unmonitored test can still terminate.
 HANG_SECONDS = 3600.0
 
 #: kinds fired inside the executor / training paths (control-flow faults).
-_EXEC_KINDS = ("raise", "crash", "hang")
+EXEC_KINDS = ("raise", "crash", "hang")
 #: kinds fired inside the checkpoint store (storage faults).
 DISK_KINDS = ("torn-write", "enospc", "bitrot")
-_KINDS = _EXEC_KINDS + DISK_KINDS
+_KINDS = EXEC_KINDS + DISK_KINDS
 
 
 class InjectedFault(RuntimeError):
@@ -140,15 +143,15 @@ class RuntimeFaultPlan:
             if kind not in _KINDS:
                 raise ValueError(
                     f"unknown runtime fault kind {kind!r} in "
-                    f"{FAULT_PLAN_ENV}; known: {_KINDS}")
+                    f"{env.FAULT_PLAN.name}; known: {_KINDS}")
             attempt, attempt_end = 0, None
             if tail:
                 key, _, value = tail.partition("=")
                 if key.strip() != "attempt":
                     raise ValueError(
                         f"unknown runtime fault option {key!r} in "
-                        f"{FAULT_PLAN_ENV} (only 'attempt=N', 'attempt=N+' "
-                        f"or 'attempt=N-M')")
+                        f"{env.FAULT_PLAN.name} (only 'attempt=N', "
+                        f"'attempt=N+' or 'attempt=N-M')")
                 attempt, attempt_end = _parse_attempt(value)
             target = index.strip()
             if not target:
@@ -174,34 +177,26 @@ class RuntimeFaultPlan:
                 return fault
         return None
 
-    def _fire(self, fault: RuntimeFault, label: str, attempt: int) -> None:
+    def maybe_inject(self, target: Union[int, str], attempt: int = 0) -> None:
+        """Fire the planned fault for (target, attempt), if any.
+
+        ``target`` is a batch item index or a named scope: training paths
+        and other long-running non-grid code pass a stable scope name
+        (e.g. ``zoo.detector``) so chaos plans like
+        ``REPRO_FAULT_PLAN=raise@zoo.detector`` can target them.
+        ``raise`` raises, ``crash`` kills the process, ``hang`` sleeps.
+        """
+        fault = self.lookup(target, attempt)
+        if fault is None or fault.kind not in EXEC_KINDS:
+            return
         if fault.kind == "raise":
+            label = (f"scope {target!r}" if isinstance(target, str)
+                     else f"item {target}")
             raise InjectedFault(
                 f"injected failure for {label} attempt {attempt}")
         if fault.kind == "crash":
             os._exit(13)
-        if fault.kind == "hang":  # pragma: no cover - killed by the monitor
-            time.sleep(HANG_SECONDS)
-
-    def maybe_inject(self, index: int, attempt: int) -> None:
-        """Fire the planned fault for (item, attempt), if any.
-
-        ``raise`` raises, ``crash`` kills the process, ``hang`` sleeps.
-        """
-        fault = self.lookup(index, attempt)
-        if fault is not None and fault.kind in _EXEC_KINDS:
-            self._fire(fault, f"item {index}", attempt)
-
-    def maybe_inject_scope(self, scope: str, attempt: int = 0) -> None:
-        """Fire the planned fault for a named scope, if any.
-
-        Training paths and other long-running non-grid code call this with
-        a stable scope name (e.g. ``zoo.detector``) so chaos plans like
-        ``REPRO_FAULT_PLAN=raise@zoo.detector`` can target them.
-        """
-        fault = self.lookup(scope, attempt)
-        if fault is not None and fault.kind in _EXEC_KINDS:
-            self._fire(fault, f"scope {scope!r}", attempt)
+        time.sleep(HANG_SECONDS)  # pragma: no cover - killed by the monitor
 
     def disk_fault(self, scope: str, attempt: int = 0) -> Optional[str]:
         """Planned *disk* fault kind for (scope, attempt), or ``None``.
@@ -220,7 +215,7 @@ def maybe_inject_scope(scope: str, attempt: int = 0) -> None:
     """Module-level convenience: read the env plan, fire for ``scope``."""
     plan = RuntimeFaultPlan.from_env()
     if plan:
-        plan.maybe_inject_scope(scope, attempt)
+        plan.maybe_inject(scope, attempt)
 
 
 def maybe_disk_fault(scope: str, attempt: int = 0) -> Optional[str]:

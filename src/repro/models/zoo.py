@@ -8,9 +8,7 @@ by a configuration fingerprint; later calls load in milliseconds.  Set the
 
 from __future__ import annotations
 
-import hashlib
 import inspect
-import json
 import os
 from typing import Optional, Sequence, Tuple
 
@@ -21,6 +19,7 @@ from ..data.signs import SignDataset
 from ..faults.runtime import maybe_inject_scope
 from ..nn import serialize
 from ..runtime import env, journal
+from ..runtime.cache import fingerprint
 from .detector import TinyDetector
 from .distance import DistanceRegressor
 from .training import EpochCheckpointer, train_detector, train_regressor
@@ -44,13 +43,8 @@ def cache_dir() -> str:
     return path
 
 
-def _fingerprint(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _cache_path(name: str, config: dict) -> str:
-    return os.path.join(cache_dir(), f"{name}-{_fingerprint(config)}.npz")
+    return os.path.join(cache_dir(), f"{name}-{fingerprint(config)}.npz")
 
 
 def _training_checkpoint(path: str, label: str) -> Optional[EpochCheckpointer]:

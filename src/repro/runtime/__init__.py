@@ -4,7 +4,8 @@ The paper's tables are attack × defense × model grids whose cells are
 independent; this package is the engine every experiment runs on:
 
 * :func:`parallel_map` / :class:`GridRunner` — fork-based fan-out with a
-  deterministic serial fallback (``REPRO_WORKERS=1``);
+  deterministic serial fallback (``REPRO_WORKERS=1``), on the worker
+  processes of :mod:`~repro.runtime.supervisor`;
 * :class:`ResultCache` — content-addressed cell results (``.npz`` image
   batches, tagged-JSON metrics) under ``$REPRO_CACHE_DIR/cells``;
 * :mod:`~repro.runtime.instrument` — per-cell wall-clock and nn
@@ -16,7 +17,7 @@ else are flagged by lint rule R003, and the README's env-var table is
 generated from the registry.
 """
 
-from . import env, manifest
+from . import env
 from .cache import (ResultCache, array_fingerprint, cache_enabled,
                     cache_max_bytes, default_cache, fingerprint)
 from .grid import GridRunner
@@ -26,7 +27,7 @@ from .parallel import (WorkerError, cell_timeout, fork_available, max_retries,
                        parallel_map, stable_seed, worker_count)
 
 __all__ = [
-    "env", "manifest",
+    "env",
     "GridRunner", "ResultCache", "parallel_map", "worker_count",
     "fork_available", "stable_seed", "WorkerError", "cell_timeout",
     "max_retries",

@@ -10,8 +10,8 @@ the checkpoint store append one JSON line per event:
   cell's status (``cached`` / ``done`` / ``lost``),
 * ``train-start`` / ``train-progress`` / ``train-resume`` /
   ``train-done`` — zoo training paths, including per-snapshot epoch
-  progress (these are also folded into the run's retraining-fan
-  ``manifest.json`` — see :mod:`repro.runtime.manifest`),
+  progress; :func:`describe_fan` folds them into the resume banner's
+  "retraining fan" line (which variants finished, which remain),
 * ``store-fault`` — quarantined / injected storage faults.
 
 ``--resume <id>`` reopens the same journal: completed cells recorded there
@@ -34,7 +34,7 @@ import logging
 import os
 import re
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from . import env
 
@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 JOURNAL_FILENAME = "journal.jsonl"
 _RUN_ID_RE = re.compile(r"^run-(\d+)$")
+#: training events the retraining-fan fold reads.
+_TRAIN_EVENTS = ("train-start", "train-progress", "train-resume",
+                 "train-done")
 
 
 def cache_root() -> str:
@@ -85,11 +88,6 @@ class RunJournal:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        # Fold training events into the run's retraining-fan manifest
-        # (lazy import: manifest -> store -> journal would cycle at init).
-        if str(record.get("event", "")).startswith("train-"):
-            from . import manifest
-            manifest.RunManifest(self.directory).on_event(record)
 
     # -- reading --------------------------------------------------------
     def events(self) -> List[Dict[str, Any]]:
@@ -157,6 +155,64 @@ class RunJournal:
             kind = str(event.get("event", "?"))
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+
+# ---------------------------------------------------------------------------
+# retraining fan: which model variants a run still owes
+
+def _variant_name(event: Dict[str, Any]) -> Optional[str]:
+    """A train event's variant name.
+
+    Zoo events carry ``model`` (``"regressor"``, ``"table3-adv-FGSM"``);
+    checkpointer events carry the ``zoo.``-prefixed checkpoint label.
+    """
+    name = event.get("model")
+    if name:
+        return str(name)
+    label = event.get("label")
+    if label:
+        return re.sub(r"^zoo\.", "", str(label))
+    return None
+
+
+def retraining_fan(events: Iterable[Dict[str, Any]]
+                   ) -> Dict[str, Dict[str, Any]]:
+    """Fold train events into ``{variant: {"status", "epoch"}}``.
+
+    Table III/IV runs retrain a *fan* of defense variants (one
+    adversarially trained model per attack source, contrastive detectors,
+    the diffusion prior…); status is ``training`` until ``train-done``.
+    """
+    variants: Dict[str, Dict[str, Any]] = {}
+    for event in events:
+        kind = event.get("event")
+        name = _variant_name(event) if kind in _TRAIN_EVENTS else None
+        if not name:
+            continue
+        entry = variants.setdefault(name, {"status": "training", "epoch": 0})
+        if kind == "train-start":
+            entry.update(status="training", epoch=0)
+        elif kind == "train-done":
+            entry["status"] = "done"
+        else:
+            entry["epoch"] = int(event.get("epoch", 0))
+    return variants
+
+
+def describe_fan(events: Iterable[Dict[str, Any]]) -> Optional[str]:
+    """One-line fan status for the resume banner; ``None`` when empty."""
+    variants = retraining_fan(events)
+    if not variants:
+        return None
+    pending = sorted(name for name, info in variants.items()
+                     if info["status"] != "done")
+    line = (f"retraining fan: {len(variants) - len(pending)}/"
+            f"{len(variants)} variant(s) trained")
+    if pending:
+        detail = ", ".join(f"{name} (epoch {variants[name]['epoch']})"
+                           for name in pending)
+        line += f"; remaining: {detail}"
+    return line
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ every cell constructs its own attack/defense objects with fixed seeds and
 only *reads* the shared models.  :func:`parallel_map` fans such cells across
 ``fork``\\ ed worker processes:
 
-* **fork, not spawn** — cells are closures over live models and datasets;
-  fork inherits them for free, so nothing but the *results* ever crosses a
-  process boundary (as pickles through per-worker pipes; private pipes mean
-  a dying worker cannot wedge its siblings on a shared queue lock).
+* **supervised** — :class:`~repro.runtime.supervisor.Supervisor` owns the
+  workers (private pipes, crash detection, respawn, shutdown), as it owns
+  the serving layer's replicas; this module keeps only the scheduling
+  policy on top: the pending queue, retries and the per-cell timeout.
 * **deterministic** — cells carry their own seeds, so scheduling order
   cannot change results; the output list is always in input order and
   bit-identical to the serial path (asserted in
@@ -17,17 +17,17 @@ only *reads* the shared models.  :func:`parallel_map` fans such cells across
   *crashes* (OOM kill, segfault) or *hangs* past ``REPRO_CELL_TIMEOUT`` is
   detected, its in-flight cell is retried up to ``REPRO_MAX_RETRIES`` times
   (cells are deterministic, so a retry is bit-identical to an uninterrupted
-  run), and a replacement worker is spawned.  ``REPRO_FAULT_PLAN``
+  run), and its worker is respawned.  ``REPRO_FAULT_PLAN``
   (:mod:`repro.faults.runtime`) injects deliberate crashes/hangs/raises so
   this machinery is itself testable.
 * **checkpointable** — ``on_result`` fires in the parent as each cell
   completes, letting :class:`~repro.runtime.grid.GridRunner` persist
   results incrementally; a killed run resumes from the result cache.
 * **graceful fallback** — ``REPRO_WORKERS=1``, a single-item batch, or a
-  platform without ``fork`` (Windows spawn cannot ship closures) all take
-  the plain serial loop (which still honours retries for raised faults;
-  crash/hang injections are skipped serially since they cannot be
-  recovered in-process).
+  platform without ``fork`` (Windows spawn cannot ship closures) all run
+  the cells in-process under the same retry policy.  A planned crash, or a
+  planned hang while a timeout is set, is synthesized there as a lost
+  attempt, so a serial grid reports the same faults as a forked one.
 
 Worker count resolution: explicit argument > ``REPRO_WORKERS`` env var >
 ``os.cpu_count()``.
@@ -37,31 +37,19 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import multiprocessing as mp
 import os
-import time
-import traceback
 from collections import deque
-from multiprocessing import connection as mp_connection
-from typing import (TYPE_CHECKING, Callable, Deque, List, Optional, Sequence,
-                    Set, Tuple, TypeVar)
+from typing import Callable, Deque, List, Optional, Sequence, Set, TypeVar
 
-if TYPE_CHECKING:  # imported lazily at runtime: faults.sensor needs
-    from ..faults.runtime import RuntimeFaultPlan  # stable_seed from here
+from . import env as _env
+from .supervisor import Reply, Supervisor, Task, fork_available
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 logger = logging.getLogger(__name__)
 
-from . import env as _env  # noqa: E402 - registry import after typing setup
-
-# Historical names, kept importable; the registry is the source of truth.
-WORKERS_ENV = _env.WORKERS.name
-TIMEOUT_ENV = _env.CELL_TIMEOUT.name
-RETRIES_ENV = _env.MAX_RETRIES.name
-
-DEFAULT_MAX_RETRIES = _env.MAX_RETRIES.default
+#: how often the grid wakes to check per-cell timeouts.
 _POLL_S = 0.05
 
 
@@ -93,13 +81,6 @@ def max_retries(retries: Optional[int] = None) -> int:
     if retries is not None:
         return max(0, int(retries))
     return max(0, _env.MAX_RETRIES.get())
-
-
-def fork_available() -> bool:
-    try:
-        return "fork" in mp.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
 
 
 def stable_seed(*parts, base: int = 0) -> int:
@@ -141,204 +122,74 @@ def parallel_map(fn: Callable[[Item], Result], items: Sequence[Item],
     dies (hard crash / OOM kill), or that exceeds the per-cell ``timeout``
     is retried up to ``retries`` times; once the budget is exhausted the
     parent raises :class:`WorkerError` carrying the remote traceback (or a
-    synthesized one for crashes/hangs).  ``on_result(index, result)`` runs
-    in the parent as each item completes — the checkpoint hook;
+    synthesized one for crashes/hangs) — or, on the serial path, re-raises
+    the cell's own exception.  ``on_result(index, result)`` runs in the
+    parent as each item completes — the checkpoint hook;
     ``on_fault(index, attempt, reason)`` runs in the parent as each lost
     attempt is detected — the journal hook.
     """
-    from ..faults.runtime import RuntimeFaultPlan
-
     items = list(items)
     n_workers = min(worker_count(workers), len(items))
     budget = max_retries(retries)
-    plan = RuntimeFaultPlan.from_env()
-    if n_workers <= 1 or not fork_available():
-        return _serial_map(fn, items, budget, plan, on_result, on_fault)
-    return _forked_map(fn, items, n_workers, cell_timeout(timeout), budget,
-                       plan, on_result, on_fault)
-
-
-def _serial_map(fn, items, budget: int, plan: "RuntimeFaultPlan",
-                on_result: Optional[OnResult],
-                on_fault: Optional[OnFault] = None) -> List:
-    """In-process fallback; retries raised faults, re-raising the last one."""
-    results = []
-    for index, item in enumerate(items):
-        for attempt in range(budget + 1):
-            try:
-                fault = plan.lookup(index, attempt)
-                if fault is not None and fault.kind != "raise":
-                    logger.warning(
-                        "serial parallel_map cannot inject %r for item %d "
-                        "(needs >= 2 workers); skipping", fault.kind, index)
-                else:
-                    plan.maybe_inject(index, attempt)
-                result = fn(item)
-                break
-            except Exception as error:
-                if on_fault is not None:
-                    on_fault(index, attempt,
-                             f"raised: {type(error).__name__}: {error}")
-                if attempt >= budget:
-                    raise
-                logger.warning("item %d failed on attempt %d; retrying",
-                               index, attempt, exc_info=True)
-        results.append(result)
-        if on_result is not None:
-            on_result(index, result)
-    return results
-
-
-def _worker_loop(conn, fn, items) -> None:
-    """Worker: execute (index, attempt) tasks from the parent's pipe.
-
-    Each worker owns a private duplex pipe — no locks are shared between
-    workers, so a worker dying mid-operation (hard crash) cannot wedge its
-    siblings; the parent sees EOF on this worker's pipe and reschedules.
-    """
-    from ..faults.runtime import RuntimeFaultPlan
-
-    plan = RuntimeFaultPlan.from_env()
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:  # parent is gone
-            return
-        if task is None:
-            return
-        index, attempt = task
-        try:
-            plan.maybe_inject(index, attempt)
-            result = fn(items[index])
-        except BaseException:
-            conn.send((index, attempt, False, traceback.format_exc()))
-        else:
-            conn.send((index, attempt, True, result))
-
-
-class _Worker:
-    """Parent-side handle: process + private pipe + currently assigned task."""
-
-    def __init__(self, ctx, fn, items):
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=_worker_loop,
-                                   args=(child_conn, fn, items), daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.task: Optional[Tuple[int, int]] = None  # (index, attempt)
-        self.started_at = 0.0
-
-    def assign(self, task: Tuple[int, int]) -> None:
-        self.task = task
-        self.started_at = time.monotonic()
-        self.conn.send(task)
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
-
-
-def _forked_map(fn, items, n_workers: int, timeout: Optional[float],
-                budget: int, plan: "RuntimeFaultPlan",
-                on_result: Optional[OnResult],
-                on_fault: Optional[OnFault] = None) -> List:
-    ctx = mp.get_context("fork")
-    pending: Deque[Tuple[int, int]] = deque(
-        (index, 0) for index in range(len(items)))
-    workers: List[_Worker] = [_Worker(ctx, fn, items)
-                              for _ in range(n_workers)]
-
+    timeout = cell_timeout(timeout)
+    pending: Deque[Task] = deque(Task(index, index, (index,))
+                                 for index in range(len(items)))
     results: List = [None] * len(items)
     unfinished: Set[int] = set(range(len(items)))
-    # Each respawn corresponds to a consumed attempt, so the budget is
-    # bounded; the cap below is a backstop against pathological loops.
-    respawn_budget = len(items) * (budget + 1)
-    failure: Optional[WorkerError] = None
+    failure: Optional[BaseException] = None
 
-    def retry_or_fail(index: int, attempt: int, reason: str) -> None:
+    def settle(task: Task, reply: Reply) -> None:
         nonlocal failure
+        index, attempt = task.key, task.attempt
         if index not in unfinished:
-            return  # completed just before we decided it was lost
+            return  # never settle a cell twice
+        if reply.status == "ok":
+            unfinished.discard(index)
+            results[index] = reply.value
+            if on_result is not None:
+                on_result(index, reply.value)
+            return
+        reason = (f"raised: {reply.detail}" if reply.status == "raised"
+                  else reply.detail)
         if on_fault is not None:
-            # First line only: tracebacks do not belong in journal events.
-            on_fault(index, attempt, reason.splitlines()[0])
+            on_fault(index, attempt, reason)
         if attempt < budget:
             logger.warning("cell %d %s on attempt %d; retrying", index,
                            reason, attempt)
-            pending.append((index, attempt + 1))
-        elif failure is None:
+            pending.appendleft(task._replace(attempt=attempt + 1))
+        elif isinstance(reply.value, Exception):
+            failure = reply.value  # serial: the cell's own exception
+        else:
+            if reply.status == "raised":
+                reason = f"raised:\n{reply.value}"
             failure = WorkerError(index, f"{reason} (after {attempt + 1} "
                                          f"attempts, no retries left)")
 
-    def replace(worker: _Worker, reason: str) -> None:
-        """Kill a crashed/hung worker, reschedule its task, spawn a spare."""
-        nonlocal respawn_budget
-        worker.kill()
-        workers.remove(worker)
-        if worker.task is not None:
-            index, attempt = worker.task
-            retry_or_fail(index, attempt, reason)
-        if unfinished and failure is None:
-            if respawn_budget <= 0:  # pragma: no cover - backstop
-                raise RuntimeError("parallel_map respawn budget exhausted "
-                                   "(workers keep dying)")
-            respawn_budget -= 1
-            workers.append(_Worker(ctx, fn, items))
-
-    try:
+    forked = n_workers > 1 and fork_available()
+    with Supervisor(lambda index: fn(items[index]), n_workers,
+                    forked=forked) as supervisor:
         while unfinished and failure is None:
-            for worker in workers:
-                if worker.task is None and pending:
-                    worker.assign(pending.popleft())
-            busy = {worker.conn: worker for worker in workers
-                    if worker.task is not None}
-            if not busy:  # everything in flight was lost; loop to reassign
+            if not forked:
+                task = pending.popleft()
+                settle(task, supervisor.call(0, task, timeout))
                 continue
-            ready = mp_connection.wait(list(busy), timeout=_POLL_S)
-            for conn in ready:
-                worker = busy[conn]
-                try:
-                    index, attempt, ok, payload = conn.recv()
-                except (EOFError, OSError):  # hard crash (OOM kill, segv)
-                    replace(worker, "worker died "
-                                    f"(exit code {worker.process.exitcode})")
-                    continue
-                worker.task = None
-                if index not in unfinished:
-                    continue  # stale duplicate from a raced retry
-                if ok:
-                    unfinished.discard(index)
-                    results[index] = payload
-                    if on_result is not None:
-                        on_result(index, payload)
-                else:
-                    retry_or_fail(index, attempt, f"raised:\n{payload}")
+            for slot, worker in enumerate(supervisor.workers):
+                if worker.task is None and pending:
+                    task = pending.popleft()
+                    lost = supervisor.submit(slot, task)
+                    if lost is not None:
+                        settle(task, lost)
+            for slot in supervisor.ready(_POLL_S):
+                task = supervisor.workers[slot].task
+                settle(task, supervisor.collect(slot))
             if timeout is not None:
-                now = time.monotonic()
-                for worker in [w for w in workers if w.task is not None]:
-                    if now - worker.started_at > timeout:
-                        index, _ = worker.task
-                        logger.warning(
-                            "cell %d exceeded %.1fs heartbeat timeout; "
-                            "killing its worker", index, timeout)
-                        replace(worker,
-                                f"timed out after {timeout:.1f}s")
-    finally:
-        for worker in workers:
-            worker.shutdown()
-        deadline = time.monotonic() + 5.0
-        for worker in workers:
-            worker.process.join(
-                timeout=max(0.1, deadline - time.monotonic()))
-            worker.kill()
+                for slot in supervisor.overdue(timeout):
+                    task = supervisor.workers[slot].task
+                    logger.warning("cell %d exceeded %.1fs heartbeat "
+                                   "timeout; killing its worker", task.key,
+                                   timeout)
+                    settle(task, supervisor.lose(
+                        slot, "hung", f"timed out after {timeout:.1f}s"))
     if failure is not None:
         raise failure
     return results

@@ -16,8 +16,7 @@ from .broker import BrokerConfig, BrokerResult, RequestBroker
 from .loop import (PerceptionServer, ServeConfig, ServeReport, ServeTick,
                    run_serve)
 from .policy import LatencyModel, LatencyTracker, RetryPolicy
-from .replica import REPLICA_SCOPE, PoolEvent, ReplicaPool, ReplicaReply, \
-    slot_scope
+from .replica import REPLICA_SCOPE, ReplicaPool, slot_scope
 from .router import (DEFENDED_PATH, FAST_PATH, SCORER_SCOPE, AdmissionScorer,
                      DefenseRouter, RouteDecision)
 from .traffic import TrafficTrace
@@ -26,7 +25,7 @@ __all__ = [
     "AdmissionScorer", "BreakerConfig", "BreakerState", "BrokerConfig",
     "BrokerResult", "CircuitBreaker", "DefenseRouter", "DEFENDED_PATH",
     "FAST_PATH", "LatencyModel", "LatencyTracker", "PerceptionServer",
-    "PoolEvent", "REPLICA_SCOPE", "ReplicaPool", "ReplicaReply",
+    "REPLICA_SCOPE", "ReplicaPool",
     "RequestBroker", "RetryPolicy", "RouteDecision", "run_serve",
     "SCORER_SCOPE", "ServeConfig", "ServeReport", "ServeTick",
     "slot_scope", "TrafficTrace",

@@ -1,13 +1,14 @@
 """Replica pool: N perception workers with health probes and auto-respawn.
 
-Mirrors the hardening pattern of :mod:`repro.runtime.parallel` — each
-replica is a ``fork``\\ ed process on a **private duplex pipe** (a dying
-replica can never wedge its siblings on a shared queue lock) — but serves
-*requests* instead of draining a batch: the broker addresses a specific
-slot, ships one payload, and waits for that slot's answer under a
+Each replica is a worker slot of :class:`~repro.runtime.supervisor.Supervisor`
+— a ``fork``\\ ed process on a private duplex pipe, the same supervisor
+that runs :func:`repro.runtime.parallel.parallel_map`'s grid workers — but
+serves *requests* instead of draining a batch: the broker addresses a
+specific slot, ships one payload, and waits for that slot's answer under a
 wall-clock timeout.
 
-Failure taxonomy seen by the broker (:class:`ReplicaReply.status`):
+Failure taxonomy seen by the broker (:class:`~repro.runtime.supervisor.Reply`
+``.status``):
 
 * ``ok``      — the handler returned a value,
 * ``raised``  — the handler raised; the replica is still alive,
@@ -16,14 +17,15 @@ Failure taxonomy seen by the broker (:class:`ReplicaReply.status`):
 * ``hung``    — no answer within the wall timeout; the replica is killed
   and respawned.
 
-Chaos hooks: inside each replica, :meth:`RuntimeFaultPlan.maybe_inject_scope`
-fires for scopes ``serve.replica`` (all slots) and ``serve.replica.<slot>``
-(one slot) with the broker's global request sequence number as the attempt
-— so ``REPRO_FAULT_PLAN="crash@serve.replica.0:attempt=0+"`` produces a
+Chaos hooks: each request answers to the fault-plan scopes
+``serve.replica.<slot>`` (one slot) and ``serve.replica`` (all slots),
+with the broker's global request sequence number as the attempt — so
+``REPRO_FAULT_PLAN="crash@serve.replica.0:attempt=0+"`` produces a
 persistently crashing replica 0.  On platforms without ``fork`` (or with
 ``forked=False`` for fast deterministic tests) the pool runs in-process
-and *synthesizes* the planned crash/hang outcomes instead of executing
-them, so serve runs produce bit-identical outcome streams in both modes.
+and the supervisor *synthesizes* the planned crash/hang outcomes instead
+of executing them, so serve runs produce bit-identical outcome streams in
+both modes.
 
 The wall timeout is real time (hang detection cannot work otherwise) but
 never enters results: request *latencies* are virtual, drawn by the
@@ -32,93 +34,19 @@ broker's :class:`~repro.serving.policy.LatencyModel`.
 
 from __future__ import annotations
 
-import logging
-import multiprocessing as mp
-import time
-import traceback
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from ..faults.runtime import RuntimeFaultPlan
 from ..runtime import env
-from ..runtime.parallel import fork_available
-
-logger = logging.getLogger(__name__)
+from ..runtime.supervisor import (Reply, Respawn, Supervisor, Task,
+                                  fork_available)
 
 #: scope consulted for faults hitting any replica.
 REPLICA_SCOPE = "serve.replica"
-
-_PING = "__serve_ping__"
 
 
 def slot_scope(slot: int) -> str:
     """Fault-plan scope targeting one replica slot."""
     return f"{REPLICA_SCOPE}.{slot}"
-
-
-@dataclass(frozen=True)
-class ReplicaReply:
-    status: str            # "ok" | "raised" | "crashed" | "hung"
-    value: Any = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class PoolEvent:
-    """One pool-level incident (respawn), kept for journaling/tests."""
-
-    slot: int
-    kind: str              # "crashed" | "hung" | "probe-failed"
-    seq: int               # request sequence that exposed it (-1: probe)
-
-
-def _replica_loop(conn, slot: int, handler: Callable[[Any], Any]) -> None:
-    """Child process: answer (seq, payload) requests until EOF/None."""
-    plan = RuntimeFaultPlan.from_env()
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        seq, payload = request
-        if payload == _PING:
-            conn.send((seq, True, "pong"))
-            continue
-        try:
-            if seq >= 0:
-                plan.maybe_inject_scope(slot_scope(slot), seq)
-                plan.maybe_inject_scope(REPLICA_SCOPE, seq)
-            result = handler(payload)
-        except BaseException:
-            conn.send((seq, False, traceback.format_exc(limit=4)))
-        else:
-            conn.send((seq, True, result))
-
-
-class _ForkedReplica:
-    """Parent-side handle for one replica process."""
-
-    def __init__(self, ctx, slot: int, handler):
-        self.slot = slot
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=_replica_loop,
-                                   args=(child, slot, handler), daemon=True)
-        self.process.start()
-        child.close()
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
 
 
 class ReplicaPool:
@@ -139,15 +67,17 @@ class ReplicaPool:
         self.wall_timeout = (env.SERVE_WALL_TIMEOUT.get()
                              if wall_timeout is None else float(wall_timeout))
         self.forked = fork_available() if forked is None else bool(forked)
-        self.events: List[PoolEvent] = []
-        self.respawns = 0
-        self._plan = RuntimeFaultPlan.from_env()
-        self._replicas: List[Optional[_ForkedReplica]] = [None] * self.n_replicas
-        if self.forked:
-            self._ctx = mp.get_context("fork")
-            for slot in range(self.n_replicas):
-                self._replicas[slot] = _ForkedReplica(self._ctx, slot,
-                                                      self.handler)
+        self._supervisor = Supervisor(handler, self.n_replicas,
+                                      forked=self.forked)
+
+    @property
+    def events(self) -> List[Respawn]:
+        """Every respawn so far (``crashed``, ``hung``, ``probe-failed``)."""
+        return self._supervisor.respawns
+
+    @property
+    def respawns(self) -> int:
+        return len(self._supervisor.respawns)
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "ReplicaPool":
@@ -157,41 +87,20 @@ class ReplicaPool:
         self.close()
 
     def close(self) -> None:
-        if not self.forked:
-            return
-        for replica in self._replicas:
-            if replica is not None:
-                replica.shutdown()
-        deadline = time.monotonic() + 5.0
-        for replica in self._replicas:
-            if replica is not None:
-                replica.process.join(
-                    timeout=max(0.1, deadline - time.monotonic()))
-                replica.kill()
-
-    def _respawn(self, slot: int, kind: str, seq: int) -> None:
-        self.respawns += 1
-        self.events.append(PoolEvent(slot=slot, kind=kind, seq=seq))
-        replica = self._replicas[slot]
-        if replica is not None:
-            replica.kill()
-        self._replicas[slot] = _ForkedReplica(self._ctx, slot, self.handler)
-        logger.warning("replica %d %s on request %d; respawned", slot, kind,
-                       seq)
+        self._supervisor.close()
 
     # -- requests -------------------------------------------------------
-    def call(self, slot: int, seq: int, payload: Any) -> ReplicaReply:
+    def call(self, slot: int, seq: int, payload: Any) -> Reply:
         """Send ``payload`` to ``slot`` as request ``seq``; wait for it.
 
         Never raises for replica-side trouble — every failure mode comes
-        back as a :class:`ReplicaReply` so the broker owns the policy
-        (retry, hedge, trip the breaker).
+        back as a :class:`~repro.runtime.supervisor.Reply` so the broker
+        owns the policy (retry, hedge, trip the breaker).
         """
         if not 0 <= slot < self.n_replicas:
             raise IndexError(f"no replica slot {slot}")
-        if self.forked:
-            return self._call_forked(slot, seq, payload)
-        return self._call_serial(slot, seq, payload)
+        task = Task(seq, payload, (slot_scope(slot), REPLICA_SCOPE), seq)
+        return self._supervisor.call(slot, task, self.wall_timeout)
 
     def probe(self, slot: int) -> bool:
         """Health probe: does the replica answer a ping in time?
@@ -199,65 +108,4 @@ class ReplicaPool:
         A dead or wedged replica fails the probe and is respawned, so the
         pool self-heals even between requests.
         """
-        if not self.forked:
-            return True
-        reply = self._call_forked(slot, -1, _PING, respawn_kind="probe-failed")
-        return reply.status == "ok"
-
-    def _call_forked(self, slot: int, seq: int, payload: Any,
-                     respawn_kind: Optional[str] = None) -> ReplicaReply:
-        replica = self._replicas[slot]
-        assert replica is not None
-        try:
-            replica.conn.send((seq, payload))
-        except (BrokenPipeError, OSError):
-            self._respawn(slot, respawn_kind or "crashed", seq)
-            return ReplicaReply("crashed", detail="pipe closed on send")
-        if not replica.conn.poll(self.wall_timeout):
-            self._respawn(slot, respawn_kind or "hung", seq)
-            return ReplicaReply(
-                "hung", detail=f"no answer within {self.wall_timeout:.1f}s")
-        try:
-            got_seq, ok, value = replica.conn.recv()
-        except (EOFError, OSError):
-            exitcode = replica.process.exitcode
-            self._respawn(slot, respawn_kind or "crashed", seq)
-            return ReplicaReply("crashed",
-                                detail=f"replica died (exit {exitcode})")
-        if got_seq != seq:  # stale answer from a pre-respawn request
-            return ReplicaReply("raised", detail="stale reply sequence")
-        if ok:
-            return ReplicaReply("ok", value=value)
-        return ReplicaReply("raised", detail=str(value).splitlines()[-1])
-
-    def _call_serial(self, slot: int, seq: int, payload: Any) -> ReplicaReply:
-        """In-process fallback: planned crash/hang outcomes are synthesized.
-
-        ``os._exit`` / a one-hour sleep cannot be recovered in-process, so
-        the planned fault's *observable outcome* is produced instead —
-        keeping serve runs bit-identical to the forked path.
-        """
-        if payload == _PING:
-            return ReplicaReply("ok", value="pong")
-        if seq >= 0:
-            for scope in (slot_scope(slot), REPLICA_SCOPE):
-                fault = self._plan.lookup(scope, seq)
-                if fault is not None and fault.kind == "crash":
-                    self.respawns += 1
-                    self.events.append(PoolEvent(slot, "crashed", seq))
-                    return ReplicaReply(
-                        "crashed", detail=f"injected crash@{scope}")
-                if fault is not None and fault.kind == "hang":
-                    self.respawns += 1
-                    self.events.append(PoolEvent(slot, "hung", seq))
-                    return ReplicaReply(
-                        "hung", detail=f"injected hang@{scope}")
-        try:
-            if seq >= 0:
-                self._plan.maybe_inject_scope(slot_scope(slot), seq)
-                self._plan.maybe_inject_scope(REPLICA_SCOPE, seq)
-            value = self.handler(payload)
-        except Exception as error:
-            return ReplicaReply("raised",
-                                detail=f"{type(error).__name__}: {error}")
-        return ReplicaReply("ok", value=value)
+        return self._supervisor.ping(slot, self.wall_timeout)

@@ -1,5 +1,7 @@
 """DistanceRegressor: prediction quality, attack surfaces, zoo caching."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,18 @@ class TestZooCaching:
         zoo.get_regressor(n_frames=24, epochs=1, seed=3)
         files = [f for f in tmp_path.iterdir() if f.name.startswith("regressor")]
         assert len(files) == 2
+
+    def test_default_checkpoint_filenames_are_stable(self, tmp_path,
+                                                     monkeypatch):
+        # Pinned to the names the zoo has always produced, so existing
+        # .cache/*.npz checkpoints keep hitting after a hashing refactor.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.models import zoo
+        names = {
+            "regressor": {"seed": 0, "frames": 1500, "epochs": 40, "v": 6},
+            "detector": {"seed": 0, "scenes": 1000, "epochs": 50, "v": 6},
+        }
+        assert {os.path.basename(zoo._cache_path(name, config))
+                for name, config in names.items()} == {
+            "regressor-840386f899e0f2a6.npz",
+            "detector-8f4fd711641bccfa.npz"}

@@ -1,12 +1,12 @@
-"""Retraining-fan manifest: journal bridge, progress, resume banner line."""
+"""Retraining fan: the resume banner's line, folded from the run journal."""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.runtime import env, journal, manifest, store
-from repro.runtime.manifest import MANIFEST_FILENAME, RunManifest, describe
+from repro.runtime import env, journal
+from repro.runtime.journal import describe_fan, retraining_fan
 
 
 @pytest.fixture
@@ -21,36 +21,39 @@ def run_dir(tmp_path, monkeypatch):
 
 class TestRunManifest:
     def test_lifecycle(self, run_dir):
-        m = RunManifest(run_dir)
-        m.variant_started("adv-FGSM", path="/x/adv-FGSM.npz")
-        m.variant_started("adv-PGD")
-        m.variant_progress("adv-FGSM", 5)
-        m.variant_done("adv-FGSM")
-        variants = m.variants()
-        assert variants["adv-FGSM"]["status"] == "done"
-        assert variants["adv-FGSM"]["epoch"] == 5
-        assert variants["adv-FGSM"]["path"] == "/x/adv-FGSM.npz"
-        assert m.remaining() == ["adv-PGD"]
-        assert m.done() == ["adv-FGSM"]
+        variants = retraining_fan([
+            {"event": "train-start", "model": "adv-FGSM",
+             "path": "/x/adv-FGSM.npz"},
+            {"event": "train-start", "model": "adv-PGD"},
+            {"event": "train-progress", "model": "adv-FGSM", "epoch": 5},
+            {"event": "train-done", "model": "adv-FGSM"},
+        ])
+        assert variants == {"adv-FGSM": {"status": "done", "epoch": 5},
+                            "adv-PGD": {"status": "training", "epoch": 0}}
 
-    def test_empty_and_corrupt_manifest_read_as_empty(self, run_dir):
-        m = RunManifest(run_dir)
-        assert m.variants() == {}
-        os.makedirs(run_dir, exist_ok=True)
-        with open(m.path, "w") as handle:
-            handle.write("{ not json")
-        assert m.variants() == {}
+    def test_empty_and_torn_journal(self, run_dir):
+        log = journal.RunJournal("run-0001", run_dir)
+        assert describe_fan(log.events()) is None
+        log.append({"event": "train-start", "model": "adv-FGSM"})
+        log.append({"event": "train-progress", "model": "adv-FGSM",
+                    "epoch": 2})
+        with open(log.path, "a") as handle:  # killed mid-append
+            handle.write('{"event": "train-done", "model": "adv-')
+        assert describe_fan(log.events()) == (
+            "retraining fan: 0/1 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 2)")
 
     def test_describe(self, run_dir):
-        assert describe(run_dir) is None
-        m = RunManifest(run_dir)
-        m.variant_started("adv-FGSM")
-        m.variant_progress("adv-FGSM", 3)
-        m.variant_started("adv-PGD")
-        m.variant_done("adv-PGD")
-        line = describe(run_dir)
-        assert "1/2 variant(s) trained" in line
-        assert "adv-FGSM (epoch 3)" in line
+        line = describe_fan([
+            {"event": "train-start", "model": "adv-FGSM"},
+            {"event": "train-progress", "model": "adv-FGSM", "epoch": 3},
+            {"event": "train-start", "model": "adv-PGD"},
+            {"event": "train-done", "model": "adv-PGD"},
+        ])
+        assert line == ("retraining fan: 1/2 variant(s) trained; "
+                        "remaining: adv-FGSM (epoch 3)")
+        assert describe_fan([{"event": "train-done", "model": "x"}]) == (
+            "retraining fan: 1/1 variant(s) trained")
 
 
 class TestJournalBridge:
@@ -62,12 +65,13 @@ class TestJournalBridge:
                     "epoch": 4})
         log.append({"event": "cell", "grid": "g", "cell": "c",
                     "status": "done"})
-        assert os.path.exists(os.path.join(run_dir, MANIFEST_FILENAME))
-        m = RunManifest(run_dir)
-        assert m.remaining() == ["adv-FGSM"]
-        assert m.variants()["adv-FGSM"]["epoch"] == 4
+        assert os.listdir(run_dir) == [journal.JOURNAL_FILENAME]
+        assert describe_fan(log.events()) == (
+            "retraining fan: 0/1 variant(s) trained; remaining: "
+            "adv-FGSM (epoch 4)")
         log.append({"event": "train-done", "model": "adv-FGSM"})
-        assert m.remaining() == []
+        assert describe_fan(log.events()) == (
+            "retraining fan: 1/1 variant(s) trained")
 
     def test_checkpointer_snapshot_reports_progress(self, run_dir,
                                                     monkeypatch):
@@ -92,16 +96,5 @@ class TestJournalBridge:
         ckpt = EpochCheckpointer(os.path.join(run_dir, "m.ckpt.npz"),
                                  every=1, label="zoo.variant-x")
         ckpt.save(2, module, optimizer, np.random.default_rng(0), [1.0, 0.5])
-        m = RunManifest(run_dir)
-        assert m.variants()["variant-x"]["epoch"] == 2
-        assert "variant-x" in m.remaining()
-
-    def test_manifest_write_failure_does_not_break_journal(self, run_dir,
-                                                           monkeypatch):
-        def boom(path, payload, scope=None):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(store, "save_json", boom)
-        log = journal.RunJournal("run-0001", run_dir)
-        log.append({"event": "train-start", "model": "x", "path": "/x"})
-        assert log.events()[-1]["event"] == "train-start"
+        variants = retraining_fan(log.events())
+        assert variants["variant-x"] == {"status": "training", "epoch": 2}

@@ -70,8 +70,9 @@ class TestForked:
                          forked=True) as pool:
             assert pool.probe(0)
             # murder the replica out-of-band; the probe must detect + heal
-            pool._replicas[0].process.terminate()
-            pool._replicas[0].process.join()
+            worker = pool._supervisor.workers[0]
+            worker.process.terminate()
+            worker.process.join()
             assert not pool.probe(0)
             assert pool.respawns == 1
             assert [e.kind for e in pool.events] == ["probe-failed"]

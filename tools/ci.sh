@@ -10,7 +10,9 @@
 # Tier 1 (smoke): fast confidence check — see tools/smoke.sh.
 # Tier 2 (faults): the fault-injection robustness suite (pytest -m faults):
 #   sensor-fault models, watchdog gating + reacquisition, closed-loop
-#   graceful degradation, runtime crash/hang/retry recovery, and the
+#   graceful degradation, runtime crash/hang/retry recovery, the fork
+#   supervisor shared by grid workers and serving replicas
+#   (tests/runtime/test_supervisor.py, also run by the serve tier), and the
 #   serial/parallel/cached determinism guarantees under active fault plans.
 # Tier 3 (full, opt-in): everything.
 # Analyze tier (opt-in): the repro.analysis toolchain — AST lint over
@@ -27,7 +29,7 @@
 #   slice, tools/serve_smoke.py (a chaos drill that crash-loops/hangs
 #   replicas and faults the scorer, asserting zero unserved ticks, journaled
 #   breaker trips, and bit-identical serial/forked fingerprints), and the
-#   serving test suite (pytest -m serving).
+#   serving test suite (pytest -m serving, including the supervisor suite).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"

@@ -12,8 +12,8 @@ Scenario (driven by ``tools/ci.sh resume``):
 3. **Resume** — rerun with ``--resume <run-id>`` (same journal, same
    cache, fault plan cleared) and assert the resumed table is
    byte-identical to the uninterrupted reference, that the journal shows
-   the completed cells replaying as ``cached``, and that the second run
-   exits cleanly.
+   the completed cells replaying from their journaled artifacts
+   (``replayed``), and that the second run exits cleanly.
 
 The experiment is shrunk (2 attack rows, tiny datasets, 2-epoch
 retrainings) by patching the *experiment driver's* namespace — zoo
@@ -149,13 +149,13 @@ def main():
                     pass  # torn tail from the kill is expected
         statuses = [e.get("status") for e in events
                     if e.get("event") == "cell"]
-        if "cached" not in statuses:
-            raise SystemExit("journal records no replayed (cached) cells — "
-                             "the resume recomputed everything:\n"
+        if "replayed" not in statuses:
+            raise SystemExit("journal records no replayed cells — the "
+                             "resume recomputed everything:\n"
                              f"{statuses}")
-        replayed = statuses.count("cached")
+        replayed = statuses.count("replayed")
         print(f"   journal: {len(statuses)} cell events, {replayed} replayed "
-              "from cache on resume")
+              "from their journaled artifacts on resume")
     print("resume smoke: OK")
     return 0
 
