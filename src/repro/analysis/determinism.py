@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..runtime.cache import array_fingerprint, fingerprint
+from ..runtime.digest import array_fingerprint, fingerprint
 
 
 @dataclass
@@ -55,7 +55,7 @@ class AuditReport:
 def result_fingerprint(value: Any) -> str:
     """Content-addressed fingerprint of a nested cell result.
 
-    Arrays hash through :func:`repro.runtime.cache.array_fingerprint`
+    Arrays hash through :func:`repro.runtime.digest.array_fingerprint`
     (dtype + shape + bytes), everything else through the cache's canonical
     JSON fingerprint — so the auditor detects exactly the divergences the
     result cache would conflate.

@@ -29,24 +29,20 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..eval.reporting import format_table
-from ..runtime.journal import cache_root
-from ..runtime.store import (DIGEST_KEY, QUARANTINE_DIRNAME, json_digest,
-                             state_digest)
+from ..runtime.cache import cache_root
+from ..runtime.digest import json_digest, state_digest
+from ..runtime.store import DIGEST_KEY, QUARANTINE_DIRNAME, READ_ERRORS
 
 #: classification labels, worst first (table sort order).
 KINDS = ("torn-header", "truncation", "bitflip", "intact")
 
 _ZIP_MAGIC = b"PK\x03\x04"
-#: everything reading a structurally-open zip member can raise on damage.
-_MEMBER_ERRORS = (zipfile.BadZipFile, EOFError, KeyError, ValueError,
-                  NotImplementedError, zlib.error, IndexError, OSError)
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def _classify_npz(path: str, head: bytes) -> QuarantinedArtifact:
     with archive:
         try:
             bad_member = archive.testzip()
-        except _MEMBER_ERRORS as error:
+        except READ_ERRORS as error:
             return QuarantinedArtifact(
                 path, "bitflip",
                 f"member stream damaged ({type(error).__name__}: {error})",
@@ -111,7 +107,7 @@ def _classify_npz(path: str, head: bytes) -> QuarantinedArtifact:
     try:
         with np.load(path) as loaded:
             state = {key: loaded[key] for key in loaded.files}
-    except _MEMBER_ERRORS as error:
+    except READ_ERRORS as error:
         return QuarantinedArtifact(
             path, "bitflip",
             f"array decode failed ({type(error).__name__}: {error})", size)

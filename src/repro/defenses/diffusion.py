@@ -164,6 +164,10 @@ class DenoisingDiffusionModel:
     def load_state_dict(self, state) -> None:
         self.network.load_state_dict(state)
 
+    def eval(self) -> "DenoisingDiffusionModel":
+        self.network.eval()
+        return self
+
 
 class DiffPIRDefense(InputDefense):
     """DiffPIR restoration (eq. 9) with identity degradation.

@@ -32,7 +32,8 @@ from ..defenses.base import InputDefense
 from ..models.detector import TinyDetector
 from ..models.distance import DistanceRegressor
 from ..nn.serialize import state_fingerprint
-from ..runtime import cache as result_cache
+from ..runtime.cache import ResultCache
+from ..runtime.digest import array_fingerprint
 from ..runtime.instrument import scope
 from .detection_metrics import DetectionMetrics, evaluate_detections
 from .regression_metrics import RangeErrors, range_binned_errors
@@ -84,7 +85,7 @@ def attack_sign_dataset(model: TinyDetector, dataset: SignDataset,
 
 def cached_attack_sign_dataset(model: TinyDetector, dataset: SignDataset,
                                attack: Optional[Attack],
-                               cache: Optional[result_cache.ResultCache] = None
+                               cache: Optional[ResultCache] = None
                                ) -> np.ndarray:
     """:func:`attack_sign_dataset` behind the content-addressed result cache.
 
@@ -96,9 +97,9 @@ def cached_attack_sign_dataset(model: TinyDetector, dataset: SignDataset,
     if attack is None:
         return dataset.images()
     if cache is None:
-        cache = result_cache.default_cache()
+        cache = ResultCache()
     images = dataset.images()
-    config = {"data": result_cache.array_fingerprint(images),
+    config = {"data": array_fingerprint(images),
               "model": state_fingerprint(model),
               "attack": attack_fingerprint(attack), "v": 1}
     return cache.memo_array(
@@ -180,15 +181,15 @@ def cached_attack_driving_frames(model: DistanceRegressor,
                                  images: np.ndarray, distances: np.ndarray,
                                  boxes: Sequence[Optional[Tuple]],
                                  attack: Optional[Attack],
-                                 cache: Optional[result_cache.ResultCache] = None
+                                 cache: Optional[ResultCache] = None
                                  ) -> np.ndarray:
     """:func:`attack_driving_frames` behind the result cache (cf.
     :func:`cached_attack_sign_dataset`)."""
     if attack is None:
         return images
     if cache is None:
-        cache = result_cache.default_cache()
-    config = {"data": result_cache.array_fingerprint(images),
+        cache = ResultCache()
+    config = {"data": array_fingerprint(images),
               "model": state_fingerprint(model),
               "attack": attack_fingerprint(attack), "v": 1}
     return cache.memo_array(

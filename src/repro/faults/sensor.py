@@ -11,7 +11,7 @@ Faults are composable and *deterministic*: every fault is active over a
 wall-clock window ``[start_s, end_s)`` with an optional per-tick firing
 probability, and all randomness (occluder placement, noise, corrupt-pixel
 choice) is drawn from a per-tick RNG derived with
-:func:`repro.runtime.parallel.stable_seed` from ``(injector seed, tick)``.
+:func:`repro.runtime.digest.stable_seed` from ``(injector seed, tick)``.
 The same seed therefore produces bit-identical fault streams under serial,
 forked-parallel, and cached execution — which is what makes the
 fault-robustness tables reproducible.
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..runtime.parallel import stable_seed
+from ..runtime.digest import stable_seed
 
 
 @dataclass

@@ -1,16 +1,16 @@
 """Model zoo: train-once-cache-forever accessors.
 
 Tests, examples, and every benchmark share the same pretrained weights.  The
-first call trains a model and caches its state dict under ``.cache/`` keyed
-by a configuration fingerprint; later calls load in milliseconds.  Set the
-``REPRO_CACHE_DIR`` environment variable to relocate the cache.
+first call trains a model and caches its state dict as an entry
+``<name>-<fingerprint>.npz`` of the artifact store
+(:mod:`repro.runtime.cache`); later calls load in milliseconds.  Set the
+``REPRO_CACHE_DIR`` environment variable to relocate the store.
 """
 
 from __future__ import annotations
 
 import inspect
-import os
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..data.signs import SignDataset
 from ..faults.runtime import maybe_inject_scope
 from ..nn import serialize
 from ..runtime import env, journal
-from ..runtime.cache import fingerprint
+from ..runtime.cache import ResultCache
 from .detector import TinyDetector
 from .distance import DistanceRegressor
 from .training import EpochCheckpointer, train_detector, train_regressor
@@ -31,20 +31,6 @@ DETECTOR_TRAIN_SCENES = 1000
 DETECTOR_EPOCHS = 50
 REGRESSOR_TRAIN_FRAMES = 1500
 REGRESSOR_EPOCHS = 40
-
-
-def cache_dir() -> str:
-    path = env.CACHE_DIR.get()
-    if path is None:
-        root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))))
-        path = os.path.join(root, ".cache")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _cache_path(name: str, config: dict) -> str:
-    return os.path.join(cache_dir(), f"{name}-{fingerprint(config)}.npz")
 
 
 def _training_checkpoint(path: str, label: str) -> Optional[EpochCheckpointer]:
@@ -90,52 +76,32 @@ def get_driving_data(n_frames: int = REGRESSOR_TRAIN_FRAMES, seed: int = 0
 
 
 def get_detector(seed: int = 0, n_scenes: int = DETECTOR_TRAIN_SCENES,
-                 epochs: int = DETECTOR_EPOCHS, force_retrain: bool = False
-                 ) -> TinyDetector:
+                 epochs: int = DETECTOR_EPOCHS) -> TinyDetector:
     """Pretrained stop-sign detector (cached)."""
-    config = {"seed": seed, "scenes": n_scenes, "epochs": epochs, "v": 6}
-    path = _cache_path("detector", config)
-    model = TinyDetector(rng=np.random.default_rng(seed))
-    if not force_retrain and serialize.try_load_module(path, model):
-        model.eval()
-        return model
-    maybe_inject_scope("zoo.detector")
-    journal.emit({"event": "train-start", "model": "detector", "path": path})
-    dataset = get_sign_dataset(n_scenes, seed=seed)
-    checkpoint = _training_checkpoint(path, "zoo.detector")
-    train_detector(model, dataset.images(),
-                   [scene.boxes for scene in dataset.scenes],
-                   epochs=epochs, seed=seed, checkpoint=checkpoint)
-    serialize.save_module(path, model)
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "detector", "path": path})
-    model.eval()
-    return model
+    def train(model, checkpoint):
+        dataset = get_sign_dataset(n_scenes, seed=seed)
+        train_detector(model, dataset.images(),
+                       [scene.boxes for scene in dataset.scenes],
+                       epochs=epochs, seed=seed, checkpoint=checkpoint)
+
+    return cached_model(
+        "detector", {"seed": seed, "scenes": n_scenes, "epochs": epochs,
+                     "v": 6},
+        lambda: TinyDetector(rng=np.random.default_rng(seed)), train)
 
 
 def get_regressor(seed: int = 0, n_frames: int = REGRESSOR_TRAIN_FRAMES,
-                  epochs: int = REGRESSOR_EPOCHS, force_retrain: bool = False
-                  ) -> DistanceRegressor:
+                  epochs: int = REGRESSOR_EPOCHS) -> DistanceRegressor:
     """Pretrained lead-distance regressor (cached)."""
-    config = {"seed": seed, "frames": n_frames, "epochs": epochs, "v": 6}
-    path = _cache_path("regressor", config)
-    model = DistanceRegressor(rng=np.random.default_rng(seed))
-    if not force_retrain and serialize.try_load_module(path, model):
-        model.eval()
-        return model
-    maybe_inject_scope("zoo.regressor")
-    journal.emit({"event": "train-start", "model": "regressor", "path": path})
-    images, distances = get_driving_data(n_frames, seed=seed)
-    checkpoint = _training_checkpoint(path, "zoo.regressor")
-    train_regressor(model, images, distances, epochs=epochs, seed=seed,
-                    checkpoint=checkpoint)
-    serialize.save_module(path, model)
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "regressor", "path": path})
-    model.eval()
-    return model
+    def train(model, checkpoint):
+        images, distances = get_driving_data(n_frames, seed=seed)
+        train_regressor(model, images, distances, epochs=epochs, seed=seed,
+                        checkpoint=checkpoint)
+
+    return cached_model(
+        "regressor", {"seed": seed, "frames": n_frames, "epochs": epochs,
+                      "v": 6},
+        lambda: DistanceRegressor(rng=np.random.default_rng(seed)), train)
 
 
 DIFFUSION_EPOCHS = 15
@@ -153,45 +119,34 @@ def get_diffusion(domain: str, seed: int = 0, epochs: int = DIFFUSION_EPOCHS,
 
     if domain not in ("signs", "driving"):
         raise ValueError("domain must be 'signs' or 'driving'")
-    config = {"domain": domain, "seed": seed, "epochs": epochs,
-              "images": n_images, "v": 1}
-    path = _cache_path("diffusion", config)
-    model = DenoisingDiffusionModel(seed=seed)
-    state = serialize.try_load_state(path)
-    if state is not None:
-        try:
-            model.load_state_dict(state)
-            model.network.eval()
-            return model
-        except serialize.CHECKPOINT_ERRORS:
-            serialize.logger.warning(
-                "diffusion checkpoint %s does not fit the model; retraining",
-                path)
-    maybe_inject_scope("zoo.diffusion")
-    journal.emit({"event": "train-start", "model": "diffusion", "path": path})
-    if domain == "signs":
-        images = SignDataset(n_images, seed=seed + 50).images()
-    else:
-        images, _ = generate_training_set(n_images, seed=seed + 50)
-    checkpoint = _training_checkpoint(path, "zoo.diffusion")
-    model.train(images, epochs=epochs, checkpoint=checkpoint)
-    serialize.save_state(path, model.state_dict())
-    if checkpoint is not None:
-        checkpoint.finalize()
-    journal.emit({"event": "train-done", "model": "diffusion", "path": path})
-    return model
+
+    def train(model, checkpoint):
+        if domain == "signs":
+            images = SignDataset(n_images, seed=seed + 50).images()
+        else:
+            images, _ = generate_training_set(n_images, seed=seed + 50)
+        model.train(images, epochs=epochs, checkpoint=checkpoint)
+
+    return cached_model(
+        "diffusion", {"domain": domain, "seed": seed, "epochs": epochs,
+                      "images": n_images, "v": 1},
+        lambda: DenoisingDiffusionModel(seed=seed), train)
 
 
 def cached_model(name: str, config: dict, build, train) -> object:
-    """Generic cache wrapper for defense-retrained model variants.
+    """Load-or-train any zoo model as the store entry ``name``/``config``.
 
     ``build()`` constructs the model; ``train(model)`` — or
     ``train(model, checkpoint)`` for callbacks that thread the mid-training
-    :class:`EpochCheckpointer` into their loops — trains it in place.  Used
-    by adversarial training / contrastive learning, which produce many
-    retrained variants (one per adversarial-example source).
+    :class:`EpochCheckpointer` into their loops — trains it in place.  The
+    base models, the diffusion priors and every defense-retrained variant
+    (one per adversarial-example source) go through here: load → inject
+    fault → journal → checkpointer → train → save → finalize → journal.
+    A checkpoint that does not fit the model is quarantined as stale.
     """
-    path = _cache_path(name, config)
+    # Always enabled: REPRO_RESULT_CACHE=0 skips cell results, never models.
+    models = ResultCache(enabled=True)
+    path = models.path(name, config, "npz")
     model = build()
     if serialize.try_load_module(path, model):
         model.eval()
@@ -200,7 +155,7 @@ def cached_model(name: str, config: dict, build, train) -> object:
     journal.emit({"event": "train-start", "model": name, "path": path})
     checkpoint = _training_checkpoint(path, f"zoo.{name}")
     _run_train(train, model, checkpoint)
-    serialize.save_module(path, model)
+    models.save_arrays(name, config, model.state_dict())
     if checkpoint is not None:
         checkpoint.finalize()
     journal.emit({"event": "train-done", "model": name, "path": path})

@@ -1,113 +1,67 @@
-"""Model checkpointing: state dicts as ``.npz`` archives.
+"""Model checkpointing: module state dicts as ``.npz`` archives.
 
-Persistence is delegated to the crash-consistent checkpoint store
-(:mod:`repro.runtime.store`): writes are atomic (tmp file + fsync +
-rename) and carry an embedded content digest; loading is *defensive* —
-a truncated, bit-rotted or stale checkpoint must degrade to a cache miss
-(retrain and rewrite), never a crash and never silent reuse of bad
-weights.  Defective files are **quarantined** next to where they lived
-(``.cache/quarantine/``) with a logged fault event, so a corrupt
-checkpoint is grep-ably never silently retrained over.
+Persistence is the crash-consistent store's (:mod:`repro.runtime.store`):
+writes are atomic (tmp file + fsync + rename) and carry an embedded content
+digest; loading is *defensive* — a truncated, bit-rotted or stale
+checkpoint must degrade to a cache miss (retrain and rewrite), never a
+crash and never silent reuse of bad weights.  Defective files are
+**quarantined** next to where they lived (``.cache/quarantine/``) with a
+logged fault event, so a corrupt checkpoint is never silently retrained
+over.
 
-:func:`try_load_state` / :func:`try_load_module` implement the miss
-contract; the strict :func:`load_state` / :func:`load_module` remain for
-callers that want the exception.
+:func:`try_load_module` implements the miss contract; the strict
+:func:`load_module` remains for callers that want the exception.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
-import os
-import pickle
-import zipfile
-from typing import Dict, Optional
-
-import numpy as np
-
-logger = logging.getLogger(__name__)
+from ..runtime import digest, store
 
 #: Everything a corrupt / truncated / wrong-layout ``.npz`` can raise while
-#: being opened and read.  ``KeyError`` / ``ValueError`` cover state dicts
-#: whose keys or shapes no longer match the module.
-CHECKPOINT_ERRORS = (zipfile.BadZipFile, OSError, EOFError, KeyError,
-                     ValueError, pickle.UnpicklingError)
-
-
-def _store():
-    # Imported lazily: repro.nn and repro.runtime import each other's
-    # submodules, and resolving the store at call time keeps package
-    # initialization order-independent.
-    from ..runtime import store
-    return store
-
-
-def save_state(path: str, state: Dict[str, np.ndarray]) -> None:
-    """Write a state dict atomically with an embedded content digest."""
-    _store().save_state(path, state)
-
-
-def load_state(path: str) -> Dict[str, np.ndarray]:
-    """Strict load: raises on unreadable archives and digest mismatches."""
-    return _store().load_state(path)
+#: being opened, read or fitted to a module.
+CHECKPOINT_ERRORS = store.READ_ERRORS
 
 
 def save_module(path: str, module) -> None:
-    save_state(path, module.state_dict())
+    store.save_state(path, module.state_dict())
 
 
 def load_module(path: str, module) -> None:
-    module.load_state_dict(load_state(path))
-
-
-def try_load_state(path: str) -> Optional[Dict[str, np.ndarray]]:
-    """Load a state dict, or ``None`` if the file is missing or defective.
-
-    A corrupt file is quarantined (with a logged fault event) so the
-    caller's retrain can atomically rewrite ``path``, and is reported as
-    a miss.
-    """
-    return _store().try_load_state(path)
+    module.load_state_dict(store.load_state(path))
 
 
 def try_load_module(path: str, module) -> bool:
     """Load ``module`` from ``path``; ``False`` on any checkpoint defect.
 
     Covers unreadable archives *and* state dicts that no longer fit the
-    module (missing parameters, shape mismatches) — both mean the cached
-    artifact is stale and must be regenerated.
+    module (missing entries, shape mismatches) — both mean the cached
+    artifact is stale and must be regenerated.  ``module`` is anything with
+    ``state_dict()`` / ``load_state_dict()``.
     """
-    state = try_load_state(path)
+    state = store.try_load_state(path)
     if state is None:
         return False
     try:
-        # Validate every parameter before mutating the module so a defective
+        # Validate every entry before mutating the module so a defective
         # state dict cannot leave it half-loaded ahead of the retrain.
-        for name, param in module.named_parameters():
+        for name, array in module.state_dict().items():
             if name not in state:
                 raise KeyError(f"missing parameter {name!r} in state dict")
-            if param.data.shape != state[name].shape:
+            if array.shape != state[name].shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: "
-                    f"{param.data.shape} vs {state[name].shape}")
+                    f"{array.shape} vs {state[name].shape}")
         module.load_state_dict(state)
     except CHECKPOINT_ERRORS as error:
-        _store().quarantine(path, "stale", f"{type(error).__name__}: {error}")
+        store.quarantine(path, "stale", f"{type(error).__name__}: {error}")
         return False
     return True
 
 
 def state_fingerprint(module) -> str:
-    """Stable short hash of a module's parameters and buffers.
+    """Short digest of a module's parameters and buffers.
 
     Used as a cache-key component so results derived from a model (e.g. its
     adversarial test sets) invalidate when the model's weights change.
     """
-    digest = hashlib.sha256()
-    state = module.state_dict()
-    for name in sorted(state):
-        digest.update(name.encode())
-        array = np.ascontiguousarray(state[name])
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
+    return digest.state_digest(module.state_dict())[:digest.SHORT]

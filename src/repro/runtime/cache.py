@@ -1,31 +1,32 @@
-"""Content-addressed cache for experiment cell results.
+"""Content-addressed artifact store: model checkpoints and cell results.
 
-Two artifact classes, mirroring what the experiments actually produce:
+Every artifact the experiments cache is one entry of this store, named
+``<root>/<name>-<fingerprint>.<ext>`` where ``<fingerprint>`` is
+:func:`~repro.runtime.digest.fingerprint` of its configuration dict:
 
+* **model checkpoints** (the zoo's base models, diffusion priors and every
+  retrained defense variant) as ``.npz`` state dicts,
 * **array batches** (adversarial image sets) as ``.npz`` archives, and
 * **metrics** (range errors, detection triples, ablation rows) as tagged
   JSON (see :mod:`repro.runtime.codecs`).
 
-Every entry is keyed by a SHA-256 fingerprint of its configuration dict —
-attack name, eval-set sizes, seeds, and (crucially) the *weights fingerprint*
-of any model the result depends on — so re-running a table recomputes only
-the cells whose inputs changed.  Entries are written through the
-crash-consistent checkpoint store (:mod:`repro.runtime.store`): atomic
-fsync'd rename with an embedded content digest, and corrupt/torn entries
-are quarantined to ``cells/quarantine/`` with a logged fault event before
-degrading to a miss — exactly like the model zoo.
+Cell configurations embed the *weights fingerprint* of every model they
+depend on, so re-running a table recomputes only the cells whose inputs
+changed.  Entries are written and read through the crash-consistent store
+(:mod:`repro.runtime.store`): atomic fsync'd rename with an embedded content
+digest; corrupt, torn or stale entries are quarantined to
+``<root>/quarantine/`` with a logged fault event before degrading to a miss.
 
-Layout: ``$REPRO_CACHE_DIR/cells/<name>-<fingerprint>.{npz,json}`` next to
-the model zoo's checkpoints.  Disable with ``REPRO_RESULT_CACHE=0``.  The
-directory grows monotonically by default; set ``REPRO_CACHE_MAX_MB`` to
-bound it — :meth:`ResultCache.sweep` (run after every grid) evicts
-least-recently-used entries until the budget holds.
+The root is ``$REPRO_CACHE_DIR`` (default ``<repo>/.cache``), shared with
+the run journals under ``runs/``.  ``REPRO_RESULT_CACHE=0`` disables cell
+results only: the model zoo opens its own always-enabled view, so it never
+retrains a model.  The store grows monotonically by default; set
+``REPRO_CACHE_MAX_MB`` to bound it — :meth:`ResultCache.sweep` (run after
+every grid) evicts least-recently-used entries until the budget holds.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
 from typing import Any, Callable, Dict, Optional
@@ -33,17 +34,19 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from . import codecs, env, store
+from .digest import fingerprint
 
 logger = logging.getLogger(__name__)
 
 
-def _default_root() -> str:
+def cache_root() -> str:
+    """The store root (``$REPRO_CACHE_DIR`` or ``<repo>/.cache``)."""
     path = env.CACHE_DIR.get()
     if path is None:
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))))
         path = os.path.join(root, ".cache")
-    return os.path.join(path, "cells")
+    return path
 
 
 def cache_enabled() -> bool:
@@ -51,7 +54,7 @@ def cache_enabled() -> bool:
 
 
 def cache_max_bytes() -> Optional[int]:
-    """Size budget for ``.cache/cells`` from ``REPRO_CACHE_MAX_MB``.
+    """Size budget for the store from ``REPRO_CACHE_MAX_MB``.
 
     ``None`` (unset or non-positive) disables the GC sweep.
     """
@@ -61,27 +64,21 @@ def cache_max_bytes() -> Optional[int]:
     return int(megabytes * 1024 * 1024)
 
 
-def fingerprint(config: Dict[str, Any]) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _sweepable(name: str) -> bool:
+    """Whether the LRU sweep may evict a file at the store root.
 
-
-def array_fingerprint(array: np.ndarray) -> str:
-    """Short content hash of an array (cache-key component)."""
-    digest = hashlib.sha256()
-    array = np.ascontiguousarray(array)
-    digest.update(str(array.dtype).encode())
-    digest.update(str(array.shape).encode())
-    digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
+    Half-written ``*.tmp*`` files belong to an in-flight write and
+    ``*.ckpt.npz`` snapshots to an in-flight training.
+    """
+    return ".tmp" not in name and not name.endswith(".ckpt.npz")
 
 
 class ResultCache:
-    """Filesystem cache for grid-cell results."""
+    """The filesystem artifact store (``enabled`` gates cell results)."""
 
     def __init__(self, root: Optional[str] = None,
                  enabled: Optional[bool] = None):
-        self.root = root if root is not None else _default_root()
+        self.root = root if root is not None else cache_root()
         self._enabled = enabled
 
     @property
@@ -91,17 +88,12 @@ class ResultCache:
     def path(self, name: str, config: Dict[str, Any], ext: str) -> str:
         return os.path.join(self.root, f"{name}-{fingerprint(config)}.{ext}")
 
-    # -- npz: adversarial image batches ---------------------------------
+    # -- npz: state dicts and adversarial image batches -----------------
     def load_arrays(self, name: str, config: Dict[str, Any]
                     ) -> Optional[Dict[str, np.ndarray]]:
         if not self.enabled:
             return None
-        path = self.path(name, config, "npz")
-        arrays = store.try_load_state(path)
-        if arrays is None:
-            return None
-        self._touch(path)
-        return arrays
+        return store.try_load_state(self.path(name, config, "npz"))
 
     def save_arrays(self, name: str, config: Dict[str, Any],
                     arrays: Dict[str, np.ndarray]) -> None:
@@ -128,15 +120,13 @@ class ResultCache:
         if payload is None:
             return None
         try:
-            value = codecs.from_jsonable(payload)
+            return codecs.from_jsonable(payload)
         except (KeyError, ValueError) as error:
             # Digest-valid JSON whose codec tag no longer decodes: a stale
             # layout, quarantined like any other defective artifact.
             store.quarantine(path, "stale",
                              f"{type(error).__name__}: {error}")
             return None
-        self._touch(path)
-        return value
 
     def save_json(self, name: str, config: Dict[str, Any], value: Any) -> None:
         if not self.enabled:
@@ -144,23 +134,17 @@ class ResultCache:
         store.save_json(self.path(name, config, "json"),
                         codecs.to_jsonable(value))
 
-    def memo_json(self, name: str, config: Dict[str, Any],
-                  compute: Callable[[], Any]) -> Any:
-        cached = self.load_json(name, config)
-        if cached is not None:
-            return cached
-        value = compute()
-        self.save_json(name, config, value)
-        return value
-
     # -- GC: max-size LRU sweep -----------------------------------------
     def sweep(self, max_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-used entries until the cache fits the budget.
+        """Evict least-recently-used entries until the store fits the budget.
 
         Budget: explicit ``max_bytes`` > ``REPRO_CACHE_MAX_MB`` env var >
-        disabled.  Recency is ``max(atime, mtime)`` — loads touch their
-        entry, so the ordering is LRU even on ``relatime``/``noatime``
-        mounts.  Evictions are atomic per entry (``os.remove``); races with
+        disabled.  Only files at the root are entries, so ``runs/`` and
+        ``quarantine/`` are never touched, and neither are in-flight
+        ``*.tmp*`` writes or ``*.ckpt.npz`` training snapshots.  Recency is
+        ``max(atime, mtime)`` — every store load touches its artifact, so
+        the ordering is LRU even on ``relatime``/``noatime`` mounts.
+        Evictions are atomic per entry (``os.remove``); races with
         concurrent writers/readers degrade to cache misses, never to
         corruption.  Returns the number of evicted entries.
         """
@@ -173,7 +157,7 @@ class ResultCache:
         try:
             with os.scandir(self.root) as scan:
                 for entry in scan:
-                    if not entry.is_file() or ".tmp" in entry.name:
+                    if not entry.is_file() or not _sweepable(entry.name):
                         continue
                     stat = entry.stat()
                     recency = max(stat.st_atime, stat.st_mtime)
@@ -198,16 +182,3 @@ class ResultCache:
                         "under the %.1f MB budget)", evicted,
                         total / 2 ** 20, max_bytes / 2 ** 20)
         return evicted
-
-    # -- shared ---------------------------------------------------------
-    @staticmethod
-    def _touch(path: str) -> None:
-        """Mark an entry as recently used (LRU recency for :meth:`sweep`)."""
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - racing eviction
-            pass
-
-def default_cache() -> ResultCache:
-    """A fresh cache view honouring the current environment variables."""
-    return ResultCache()

@@ -128,8 +128,8 @@ CACHE_DIR = declare(
 
 CACHE_MAX_MB = declare(
     "REPRO_CACHE_MAX_MB", "float", default=None,
-    doc="LRU size budget for `.cache/cells`; unset or <= 0 disables the "
-        "GC sweep.")
+    doc="LRU size budget for the cache root's model checkpoints and cell "
+        "results; unset or <= 0 disables the GC sweep.")
 
 BENCH_JSON = declare(
     "REPRO_BENCH_JSON", "str", default="BENCH_runtime.json",

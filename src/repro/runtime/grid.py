@@ -31,8 +31,8 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 import numpy as np
 
 from ..nn import hooks
-from . import codecs, instrument, journal, store
-from .cache import ResultCache, default_cache
+from . import instrument, journal
+from .cache import ResultCache
 from .parallel import parallel_map
 
 #: codec name -> (store, load) against the ResultCache
@@ -61,7 +61,7 @@ class GridRunner:
                  instrumentation: Optional[instrument.Instrumentation] = None):
         self.name = name
         self.workers = workers
-        self.cache = cache if cache is not None else default_cache()
+        self.cache = cache if cache is not None else ResultCache()
         self.instrumentation = (instrumentation if instrumentation is not None
                                 else instrument.get_instrumentation())
         self._cells: List[_Cell] = []
@@ -107,37 +107,10 @@ class GridRunner:
 
     def _artifact_path(self, cell: _Cell) -> Optional[str]:
         """Where this cell's result lives in the cache (None: uncacheable)."""
-        if cell.config is None:
+        if cell.config is None or not self.cache.enabled:
             return None
         return self.cache.path(self._cache_name(cell), cell.config,
                                cell.codec)
-
-    def _load_artifact(self, cell: _Cell, info: Dict[str, Any]
-                       ) -> Optional[Any]:
-        """Replay a cell straight from its journaled artifact record.
-
-        The journal — not a fresh cache-fingerprint pass — decides that the
-        cell is done; the recorded path is only trusted when it matches the
-        path the *current* configuration would produce, so a changed model
-        fingerprint or bumped cell version invalidates the replay instead
-        of resurrecting a stale result.
-        """
-        expected = self._artifact_path(cell)
-        if (expected is None or info.get("artifact") != expected
-                or info.get("codec") != cell.codec):
-            return None
-        if cell.codec == "npz":
-            arrays = store.try_load_state(expected)
-            if arrays is None or "array" not in arrays:
-                return None
-            return arrays["array"]
-        payload = store.try_load_json(expected)
-        if payload is None:
-            return None
-        try:
-            return codecs.from_jsonable(payload)
-        except (KeyError, ValueError):
-            return None
 
     # -- execution ------------------------------------------------------
     def run(self) -> Dict[Hashable, Any]:
@@ -150,12 +123,14 @@ class GridRunner:
         bit-identical to an uninterrupted one.
 
         Under an active run journal every cell's fate is appended as it is
-        decided: ``replayed`` (the journal recorded the cell done and its
-        journaled artifact path loaded — no cache fingerprint pass),
-        ``cached`` (fingerprint cache hit), ``done`` (freshly computed,
-        with its artifact path journaled for the next resume), ``lost``
-        (the journal says it finished once, but its artifact is gone —
-        recomputed loudly, never silently).
+        decided: ``replayed`` (a cache hit on the very artifact the journal
+        recorded for this cell, so a changed model fingerprint or bumped
+        cell version never replays a stale result), ``cached`` (any other
+        cache hit), ``done`` (freshly computed, with its artifact path
+        journaled for the next resume), ``lost`` (a cacheable cell the
+        journal says finished once, but whose artifact is gone — recomputed
+        loudly, never silently).  Uncacheable cells are never ``lost``:
+        they never had an artifact.
         """
         log = journal.get_journal()
         completed = (log.completed_cells(self.name) if log is not None
@@ -179,28 +154,22 @@ class GridRunner:
         results: Dict[Hashable, Any] = {}
         pending: List[_Cell] = []
         for cell in self._cells:
-            # Journal-driven resume first: a cell the journal records as
-            # finished replays from its recorded artifact path without a
-            # cache lookup; the fingerprint pass is only the fallback.
-            result = None
-            status = None
-            info = artifacts.get(cell.label)
-            if info is not None:
-                result = self._load_artifact(cell, info)
-                if result is not None:
-                    status = "replayed"
-            if result is None:
-                result = self._load_cached(cell)
-                if result is not None:
-                    status = "cached"
+            # One load path for fresh runs and resumes alike; the journal
+            # only decides whether the hit counts as a replay.
+            result = self._load_cached(cell)
+            path = self._artifact_path(cell)
             if result is not None:
                 results[cell.key] = result
                 self.instrumentation.record_cell(instrument.CellRecord(
                     grid=self.name, cell=cell.label, seconds=0.0,
                     forward_passes=0, backward_passes=0, cached=True))
-                journal_cell(cell, status)
+                journaled = {"artifact": path, "codec": cell.codec}
+                journal_cell(cell, "replayed"
+                             if artifacts.get(cell.label) == journaled
+                             else "cached")
             else:
-                if log is not None and cell.label in completed:
+                if (log is not None and path is not None
+                        and cell.label in completed):
                     log.append({"event": "cell", "grid": self.name,
                                 "cell": cell.label, "status": "lost"})
                 pending.append(cell)

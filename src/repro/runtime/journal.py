@@ -37,6 +37,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Set
 
 from . import env
+from .cache import cache_root
 
 logger = logging.getLogger(__name__)
 
@@ -45,16 +46,6 @@ _RUN_ID_RE = re.compile(r"^run-(\d+)$")
 #: training events the retraining-fan fold reads.
 _TRAIN_EVENTS = ("train-start", "train-progress", "train-resume",
                  "train-done")
-
-
-def cache_root() -> str:
-    """The cache root (``$REPRO_CACHE_DIR`` or ``<repo>/.cache``)."""
-    path = env.CACHE_DIR.get()
-    if path is None:
-        root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))))
-        path = os.path.join(root, ".cache")
-    return path
 
 
 def runs_root() -> str:
@@ -134,9 +125,8 @@ class RunJournal:
         """Latest journaled artifact per completed cell of ``grid``.
 
         Cell events carry the cache path their result was stored under
-        (``artifact``) plus its codec; a resumed run replays completed
-        cells straight from these records — the journal, not a fresh cache
-        fingerprint pass, decides what is done.
+        (``artifact``) plus its codec; a resumed run counts a cache hit on
+        exactly this record as ``replayed``.
         """
         latest: Dict[str, Dict[str, Any]] = {}
         for event in self.events():

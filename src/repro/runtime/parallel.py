@@ -35,7 +35,6 @@ Worker count resolution: explicit argument > ``REPRO_WORKERS`` env var >
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 from collections import deque
@@ -81,17 +80,6 @@ def max_retries(retries: Optional[int] = None) -> int:
     if retries is not None:
         return max(0, int(retries))
     return max(0, _env.MAX_RETRIES.get())
-
-
-def stable_seed(*parts, base: int = 0) -> int:
-    """Deterministic 32-bit seed derived from cell-identifying parts.
-
-    Unlike ``hash()``, this is stable across processes and interpreter runs
-    (``PYTHONHASHSEED`` does not affect it), so a cell gets the same seed no
-    matter which worker executes it.
-    """
-    blob = repr((base,) + parts).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "little")
 
 
 class WorkerError(RuntimeError):

@@ -9,11 +9,12 @@ a *valid* artifact:
   JSON), is flushed and ``fsync``'d, then ``os.replace``'d over the final
   name; the destination directory is fsync'd too, so after a crash the
   final path holds either the old artifact or the complete new one.
-* **Content digests** — a SHA-256 over every entry's name, dtype, shape
-  and bytes is embedded *inside* the artifact (npz entry
-  ``__repro_digest__`` / JSON envelope key ``digest``) and re-verified on
-  load.  Zip CRCs catch most torn writes; the digest also catches bit rot
-  and truncations that happen to leave a well-formed archive.
+* **Content digests** — a SHA-256 (:mod:`repro.runtime.digest`) over
+  every entry's name, dtype, shape and bytes is embedded *inside* the
+  artifact (npz entry ``__repro_digest__`` / JSON envelope key ``digest``)
+  and re-verified on load.  Zip CRCs catch most torn writes; the digest
+  also catches bit rot and truncations that happen to leave a well-formed
+  archive.
 * **Quarantine, never silent loss** — a corrupt or torn artifact is moved
   to a ``quarantine/`` directory next to where it lived (``.cache/`` →
   ``.cache/quarantine/``), a :class:`StoreFault` event is recorded and a
@@ -31,16 +32,18 @@ zip CRC.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import logging
 import os
+import pickle
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
+
+from .digest import json_digest, state_digest
 
 logger = logging.getLogger(__name__)
 
@@ -54,12 +57,14 @@ QUARANTINE_KEEP = 16
 STORE_SCOPE = "store"
 
 #: everything a corrupt / truncated / wrong-layout artifact can raise while
-#: being opened and read (mirrors ``repro.nn.serialize.CHECKPOINT_ERRORS``).
+#: being opened, read or fitted to a module (``KeyError`` / ``ValueError``
+#: also cover state dicts whose keys or shapes no longer match).
 #: NotImplementedError / zlib.error / IndexError look exotic but are what
 #: zipfile raises when a bit flip lands in a header's compression-method,
 #: deflate stream, or offset field — found by the byte-level fuzz sweep.
-_READ_ERRORS = (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError,
-                NotImplementedError, zlib.error, IndexError)
+READ_ERRORS = (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError,
+               NotImplementedError, zlib.error, IndexError,
+               pickle.UnpicklingError)
 
 
 class CorruptArtifact(RuntimeError):
@@ -103,29 +108,6 @@ def _record(fault: StoreFault) -> None:
     journal.emit({"event": "store-fault", "path": fault.path,
                   "kind": fault.kind, "detail": fault.detail,
                   "quarantined_to": fault.quarantined_to})
-
-
-# ---------------------------------------------------------------------------
-# digests
-
-
-def state_digest(state: Dict[str, np.ndarray]) -> str:
-    """Hex SHA-256 over a state dict's names, dtypes, shapes and bytes."""
-    digest = hashlib.sha256()
-    for name in sorted(state):
-        array = np.ascontiguousarray(state[name])
-        digest.update(name.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def json_digest(payload: Any) -> str:
-    """Hex SHA-256 over a canonical JSON encoding of ``payload``."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                         default=str)
-    return hashlib.sha256(encoded.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +279,34 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
     return state
 
 
-def try_load_state(path: str) -> Optional[Dict[str, np.ndarray]]:
-    """Load a state dict, or ``None`` (miss) if absent or defective.
+def _try_load(path: str, load: Callable[[str], Any]) -> Optional[Any]:
+    """``load(path)``, or ``None`` (miss) if absent or defective.
 
     Defective artifacts are quarantined — see :func:`quarantine` — so the
-    caller's regeneration can atomically rewrite ``path``.
+    caller's regeneration can atomically rewrite ``path``.  A successful
+    load refreshes the artifact's mtime: the LRU recency that
+    :meth:`repro.runtime.cache.ResultCache.sweep` evicts by.
     """
     if not os.path.exists(path):
         return None
     try:
-        return load_state(path)
+        value = load(path)
     except CorruptArtifact as error:
         quarantine(path, "digest-mismatch", str(error))
         return None
-    except _READ_ERRORS as error:
+    except READ_ERRORS as error:
         quarantine(path, "unreadable", f"{type(error).__name__}: {error}")
         return None
+    try:
+        os.utime(path)
+    except OSError:  # pragma: no cover - racing eviction
+        pass
+    return value
+
+
+def try_load_state(path: str) -> Optional[Dict[str, np.ndarray]]:
+    """Load a state dict, or ``None`` (miss) if absent or defective."""
+    return _try_load(path, load_state)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +352,9 @@ def load_json(path: str) -> Any:
 
 
 def try_load_json(path: str) -> Optional[Any]:
-    """Load a JSON artifact, or ``None`` (miss) if absent or defective."""
-    if not os.path.exists(path):
-        return None
-    try:
-        return load_json(path)
-    except CorruptArtifact as error:
-        quarantine(path, "digest-mismatch", str(error))
-        return None
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        quarantine(path, "unreadable", f"{type(error).__name__}: {error}")
-        return None
-    except _READ_ERRORS as error:
-        quarantine(path, "unreadable", f"{type(error).__name__}: {error}")
-        return None
+    """Load a JSON artifact, or ``None`` (miss) if absent or defective.
+
+    Parse and decode errors subclass ``ValueError``: a damaged document is
+    quarantined as unreadable.
+    """
+    return _try_load(path, load_json)

@@ -22,8 +22,6 @@ when real replica processes crash, hang and respawn underneath.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,6 +31,7 @@ import numpy as np
 from ..faults.watchdog import PerceptionWatchdog, WatchdogConfig
 from ..pipeline.perception import PerceptionService
 from ..pipeline.tracker import LeadKalmanFilter
+from ..runtime.digest import json_digest
 from ..runtime.journal import emit
 from .broker import BrokerConfig, RequestBroker
 from .replica import ReplicaPool
@@ -152,8 +151,7 @@ class ServeReport:
         or serial — must produce the same fingerprint; this is the bit
         the determinism tests compare.
         """
-        payload = json.dumps(self.to_json(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return json_digest(self.to_json())
 
 
 def run_serve(trace: TrafficTrace, server: PerceptionServer,

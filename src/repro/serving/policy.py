@@ -4,7 +4,7 @@ Everything here is deterministic by construction:
 
 * :class:`RetryPolicy` — exponential backoff with *seeded* jitter.  The
   jitter RNG for attempt ``a`` of request ``seq`` is derived via
-  :func:`repro.runtime.parallel.stable_seed`, so two executions of the
+  :func:`repro.runtime.digest.stable_seed`, so two executions of the
   same serve run back off by bit-identical delays.
 * :class:`LatencyModel` — per-(slot, seq) virtual service times.  Real
   inference on this hardware is microseconds and wall-clock readings are
@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..runtime.parallel import stable_seed
+from ..runtime.digest import stable_seed
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Contrastive pretraining and the diffusion (DiffPIR) defense."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,24 @@ class TestDiffPIR:
         many = DiffPIRDefense(trained_prior, t_start=15, n_steps=10, seed=0)
         x = sign_scenes.images()[:1]
         assert not np.array_equal(few.purify(x), many.purify(x))
+
+
+def test_stale_diffusion_checkpoint_is_quarantined_not_overwritten(
+        tmp_path, monkeypatch):
+    # A digest-valid prior whose layout no longer fits the model is
+    # evidence of a stale artifact: quarantined like every other zoo model,
+    # then retrained — not silently trained over.
+    from repro.models import zoo
+    from repro.runtime import ResultCache, store
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    config = {"domain": "signs", "seed": 0, "epochs": 1, "images": 4, "v": 1}
+    path = ResultCache().path("diffusion", config, "npz")
+    store.save_state(path, {"stale": np.zeros(3, dtype=np.float32)})
+    store.clear_fault_events()
+
+    prior = zoo.get_diffusion("signs", epochs=1, n_images=4)
+    assert [(f.kind, f.path) for f in store.fault_events()] == \
+        [("stale", path)]
+    assert (tmp_path / "quarantine" / os.path.basename(path)).exists()
+    assert store.try_load_state(path).keys() == prior.state_dict().keys()

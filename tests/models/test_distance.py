@@ -97,12 +97,12 @@ class TestZooCaching:
         # Pinned to the names the zoo has always produced, so existing
         # .cache/*.npz checkpoints keep hitting after a hashing refactor.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.models import zoo
+        from repro.runtime import ResultCache
         names = {
             "regressor": {"seed": 0, "frames": 1500, "epochs": 40, "v": 6},
             "detector": {"seed": 0, "scenes": 1000, "epochs": 50, "v": 6},
         }
-        assert {os.path.basename(zoo._cache_path(name, config))
+        assert {os.path.basename(ResultCache().path(name, config, "npz"))
                 for name, config in names.items()} == {
             "regressor-840386f899e0f2a6.npz",
             "detector-8f4fd711641bccfa.npz"}

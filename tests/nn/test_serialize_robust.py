@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, Sequential, serialize
+from repro.runtime import store
 
 
 def _model(seed=0):
@@ -47,14 +48,14 @@ class TestRoundTrip:
 @pytest.mark.smoke
 class TestCorruptFallback:
     def test_missing_file_is_a_miss(self, tmp_path):
-        assert serialize.try_load_state(str(tmp_path / "absent.npz")) is None
+        assert store.try_load_state(str(tmp_path / "absent.npz")) is None
         assert not serialize.try_load_module(str(tmp_path / "absent.npz"),
                                              _model())
 
     def test_garbage_bytes_are_a_miss_and_removed(self, tmp_path):
         path = tmp_path / "model.npz"
         path.write_bytes(b"not a zip archive at all")
-        assert serialize.try_load_state(str(path)) is None
+        assert store.try_load_state(str(path)) is None
         assert not path.exists(), "corrupt checkpoint should be deleted"
 
     def test_truncated_archive_is_a_miss(self, tmp_path):
@@ -70,7 +71,7 @@ class TestCorruptFallback:
         path = str(tmp_path / "model.npz")
         state = _model().state_dict()
         state.pop(sorted(state)[0])
-        serialize.save_state(path, state)
+        store.save_state(path, state)
         assert not serialize.try_load_module(path, _model())
 
     def test_shape_mismatch_is_a_miss(self, tmp_path):
@@ -82,7 +83,7 @@ class TestCorruptFallback:
         path = str(tmp_path / "model.npz")
         state = _model(3).state_dict()
         state.pop(sorted(state)[-1])  # defective: one parameter missing
-        serialize.save_state(path, state)
+        store.save_state(path, state)
         target = _model(4)
         before = {k: v.copy() for k, v in target.state_dict().items()}
         assert not serialize.try_load_module(path, target)

@@ -1,10 +1,11 @@
-"""Cache GC: the max-size LRU sweep over .cache/cells (REPRO_CACHE_MAX_MB)."""
+"""Cache GC: the max-size LRU sweep over the store (REPRO_CACHE_MAX_MB)."""
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.runtime import cache_max_bytes, env
+from repro.runtime import cache_max_bytes, env, store
 from repro.runtime.cache import ResultCache
 
 pytestmark = pytest.mark.smoke
@@ -100,3 +101,26 @@ class TestSweep:
             write_entry(cache, f"g{i}", {"pad": "w" * 50000}, age_s=100 - i)
         monkeypatch.setenv(env.CACHE_MAX_MB.name, "0.05")  # 50 KB
         assert cache.sweep() >= 2
+
+    def test_model_checkpoints_are_entries_but_in_flight_state_is_not(
+            self, cache):
+        # A zoo checkpoint is an ordinary (evictable) store entry ...
+        old = write_entry(cache, "cell", {"pad": "x" * 4000}, age_s=1000)
+        model = cache.path("regressor", {"v": 6}, "npz")
+        store.save_state(model, {"w": np.zeros(1000, dtype=np.float32)})
+        stamp = os.stat(model).st_mtime - 2000
+        os.utime(model, (stamp, stamp))
+        # ... but training snapshots, run journals and quarantined evidence
+        # are never swept, however old or large.
+        protected = [model + ".ckpt.npz",
+                     os.path.join(cache.root, "runs", "run-0001",
+                                  "journal.jsonl"),
+                     os.path.join(cache.root, "quarantine", "dead.npz")]
+        for path in protected:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(b"x" * 50000)
+            os.utime(path, (1.0, 1.0))
+        assert cache.sweep(max_bytes=1) == 2
+        assert not os.path.exists(old) and not os.path.exists(model)
+        assert all(os.path.exists(path) for path in protected)

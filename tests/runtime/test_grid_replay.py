@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.runtime import GridRunner, journal
+from repro.runtime import GridRunner, journal, store
 from repro.runtime.cache import ResultCache
 
 
@@ -120,3 +120,54 @@ def test_npz_cells_replay_from_journal(run_env):
     second = build().run()
     assert calls == []
     np.testing.assert_array_equal(first["x"], second["x"])
+
+
+def test_uncacheable_cells_are_never_journaled_lost(run_env):
+    log = journal.RunJournal("run-0001", os.path.join(run_env, "runs",
+                                                      "run-0001"))
+    journal.set_journal(log)
+    for _ in range(2):
+        grid = GridRunner("demo", cache=ResultCache())
+        grid.add("uncacheable", lambda: {"value": 1}, config=None)
+        grid.run()
+    statuses = [e["status"] for e in log.events() if e["event"] == "cell"]
+    assert statuses == ["done", "done"]
+
+
+def test_replaying_a_stale_codec_artifact_quarantines_it(run_env):
+    cache = ResultCache()
+    log = journal.RunJournal("run-0001", os.path.join(run_env, "runs",
+                                                      "run-0001"))
+    journal.set_journal(log)
+    calls = []
+    _grid(cache, calls).run()
+    # Re-seal cell "a" with a codec tag no decoder knows: digest-valid, but
+    # a stale layout.
+    path = next(e["artifact"] for e in log.events()
+                if e["event"] == "cell" and e["cell"] == "a")
+    store.save_json(path, {"__kind__": "retired-kind", "payload": {}})
+    store.clear_fault_events()
+
+    journal.set_journal(journal.RunJournal("run-0001", log.directory))
+    calls = []
+    _grid(cache, calls).run()
+    assert calls == ["a"]
+    assert [(f.kind, f.path) for f in store.fault_events()] == \
+        [("stale", path)]
+    assert os.path.exists(os.path.join(os.path.dirname(path), "quarantine",
+                                       os.path.basename(path)))
+
+
+def test_replay_refreshes_lru_recency(run_env):
+    cache = ResultCache()
+    log = journal.RunJournal("run-0001", os.path.join(run_env, "runs",
+                                                      "run-0001"))
+    journal.set_journal(log)
+    _grid(cache, []).run()
+    paths = [e["artifact"] for e in log.events() if e["event"] == "cell"]
+    for path in paths:
+        os.utime(path, (1000.0, 1000.0))
+
+    journal.set_journal(journal.RunJournal("run-0001", log.directory))
+    _grid(cache, []).run()
+    assert all(os.stat(path).st_mtime > 1000.0 for path in paths)

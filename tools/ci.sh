@@ -20,7 +20,9 @@
 #   excluded), the env-var table drift check, the determinism audit with
 #   one real Table II cell per defense family, the analysis test suite
 #   (lint rules, gradcheck, determinism audit, sanitizers), and the smoke
-#   tier re-run under live REPRO_SANITIZE=nan,alias hooks.
+#   tier re-run under live REPRO_SANITIZE=nan,alias hooks.  It also fails
+#   if any module under src/ except runtime/digest.py imports hashlib: every
+#   cache key, artifact digest and seed goes through that one module.
 # Resume tier (opt-in): crash-consistency end to end — tools/resume_smoke.py
 #   kills a journaled table3 run mid-grid under a fault plan, resumes it via
 #   `repro.cli run --resume`, and asserts the resumed table is bit-identical
@@ -38,6 +40,15 @@ if [[ "${1:-}" == "analyze" ]]; then
     echo "== CI analyze: static lint =="
     python -m repro.cli analyze lint --exclude tests/analysis/fixtures \
         src/repro tests benchmarks
+
+    echo "== CI analyze: one digest module =="
+    hashers=$(grep -rlE --include='*.py' '^\s*(import|from)\s+hashlib' src \
+        | grep -vx 'src/repro/runtime/digest.py' || true)
+    if [[ -n "$hashers" ]]; then
+        echo "hashlib imported outside src/repro/runtime/digest.py:"
+        echo "$hashers"
+        exit 1
+    fi
 
     echo "== CI analyze: env-var table drift =="
     python -m repro.cli analyze envdoc --check README.md
