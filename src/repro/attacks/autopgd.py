@@ -20,8 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .base import Attack, LossFn, input_gradient
-from ..nn import Tensor
+from .base import Attack, LossFn, input_gradient, loss_value
 
 
 def _checkpoints(n_iter: int) -> List[int]:
@@ -70,12 +69,14 @@ class AutoPGDAttack(Attack):
         x_adv = self._project(start, x, mask)
         step = 2.0 * self.eps
 
-        def loss_of(arr: np.ndarray) -> float:
-            return float(loss_fn(Tensor(arr)).data)
-
+        # One model evaluation per iterate: the gradient call at an iterate
+        # also yields its loss, the best iterate's gradient is kept for a
+        # checkpoint restart, and the final iterate's loss is probed
+        # without a tape (n_iter + 1 forwards, n_iter backwards).
         x_prev = x_adv.copy()
         best = x_adv.copy()
-        best_loss = loss_of(x_adv)
+        best_loss, grad = input_gradient(x_adv, loss_fn, mask=mask)
+        best_grad = grad
         loss_at_last_checkpoint = best_loss
         step_at_last_checkpoint = step
         improving_steps = 0
@@ -83,7 +84,6 @@ class AutoPGDAttack(Attack):
         since_checkpoint = 0
 
         for iteration in range(1, self.n_iter + 1):
-            grad = input_gradient(x_adv, loss_fn, mask=mask)
             z = self._project(x_adv + step * np.sign(grad), x, mask)
             x_next = self._project(
                 x_adv + self.momentum * (z - x_adv)
@@ -91,10 +91,14 @@ class AutoPGDAttack(Attack):
             x_prev = x_adv
             x_adv = x_next
             since_checkpoint += 1
-            current = loss_of(x_adv)
+            if iteration < self.n_iter:
+                current, grad = input_gradient(x_adv, loss_fn, mask=mask)
+            else:
+                current, grad = loss_value(x_adv, loss_fn), None
             if current > best_loss:
                 best_loss = current
                 best = x_adv.copy()
+                best_grad = grad
                 improving_steps += 1
             if iteration in checkpoints:
                 # Condition 1: fewer than 75% of steps since the last
@@ -107,6 +111,7 @@ class AutoPGDAttack(Attack):
                     step = max(step / 2.0, self.eps / 64.0)
                     x_adv = best.copy()
                     x_prev = best.copy()
+                    grad = best_grad
                 step_at_last_checkpoint = step
                 loss_at_last_checkpoint = best_loss
                 improving_steps = 0
@@ -137,7 +142,7 @@ class PGDAttack(Attack):
             -1, 1, size=x.shape).astype(np.float32) * (mask if mask is not None else 1.0),
             0.0, 1.0).astype(np.float32)
         for _ in range(self.n_iter):
-            grad = input_gradient(x_adv, loss_fn, mask=mask)
+            _, grad = input_gradient(x_adv, loss_fn, mask=mask)
             x_adv = x_adv + self.step * np.sign(grad)
             delta = np.clip(x_adv - x, -self.eps, self.eps)
             if mask is not None:

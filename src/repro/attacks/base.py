@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..models.detector import TinyDetector
 from ..models.distance import DistanceRegressor
-from ..nn import Tensor
+from ..nn import Tensor, input_only, no_tape
 
 LossFn = Callable[[Tensor], Tensor]
 
@@ -152,7 +152,7 @@ def targeted_regressor_loss_fn(model: DistanceRegressor,
     target = np.float32(target_distance_m / MAX_DISTANCE)
 
     def objective(x: Tensor) -> Tensor:
-        prediction = model.forward(x)
+        prediction = model(x)
         return -1.0 * ((prediction - Tensor(np.array([[target]]))) ** 2).mean()
 
     return BatchLossAdapter(objective, lambda x, i: objective(x))
@@ -170,8 +170,13 @@ def slice_loss_fn(loss_fn: LossFn, index: int) -> LossFn:
 
 
 def input_gradient(images: np.ndarray, loss_fn: LossFn,
-                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient of the adversarial loss w.r.t. the input pixels.
+                   mask: Optional[np.ndarray] = None
+                   ) -> Tuple[float, np.ndarray]:
+    """The adversarial loss at ``images`` and its gradient w.r.t. the pixels.
+
+    One forward and one backward, both in input-only mode
+    (:func:`repro.nn.input_only`): the tape tracks the pixels alone, so no
+    weight gradient is computed and no parameter ``.grad`` is written.
 
     Under ``REPRO_SANITIZE=nan`` (installed via
     :func:`repro.analysis.sanitize.install`), a non-finite input gradient
@@ -181,14 +186,21 @@ def input_gradient(images: np.ndarray, loss_fn: LossFn,
     from ..analysis import sanitize
 
     x = Tensor(images.copy(), requires_grad=True)
-    loss = loss_fn(x)
-    loss.backward()
+    with input_only(x):
+        loss = loss_fn(x)
+        loss.backward()
     grad = x.grad
     if "nan" in sanitize.installed_modes():
         sanitize.check_finite(grad, "adversarial input gradient")
     if mask is not None:
         grad = grad * mask
-    return grad
+    return float(loss.data), grad
+
+
+def loss_value(images: np.ndarray, loss_fn: LossFn) -> float:
+    """The adversarial loss at ``images``: one forward, without a tape."""
+    with no_tape():
+        return float(loss_fn(Tensor(images)).data)
 
 
 def apply_mask(perturbation: np.ndarray,

@@ -18,8 +18,7 @@ import numpy as np
 
 from scipy.fftpack import idct
 
-from .base import Attack, LossFn, slice_loss_fn
-from ..nn import Tensor
+from .base import Attack, LossFn, loss_value, slice_loss_fn
 
 
 @dataclass
@@ -105,7 +104,7 @@ class SimBAAttack(Attack):
 
         def query(arr: np.ndarray) -> float:
             result.queries += 1
-            return float(loss_fn(Tensor(arr)).data)
+            return loss_value(arr, loss_fn)
 
         shape = image.shape[1:]
         order = self._rng.permutation(self._n_directions(shape))

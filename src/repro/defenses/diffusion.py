@@ -33,7 +33,7 @@ import numpy as np
 
 from .base import InputDefense
 from ..models.training import EpochCheckpointer
-from ..nn import Adam, Conv2d, Module, SiLU, Tensor, losses
+from ..nn import Adam, Conv2d, Module, SiLU, Tensor, losses, no_tape
 from ..nn import functional as F
 
 
@@ -148,7 +148,8 @@ class DenoisingDiffusionModel:
     # -- inference helpers -------------------------------------------------
     def predict_noise(self, x_t: np.ndarray, t: int) -> np.ndarray:
         sigma = np.full(len(x_t), self.sigma(np.array([t]))[0], dtype=np.float32)
-        return self.network(Tensor(x_t), sigma).data
+        with no_tape():
+            return self.network(Tensor(x_t), sigma).data
 
     def predict_x0(self, x_t: np.ndarray, t: int) -> np.ndarray:
         """x0 estimate from the noise prediction at step t."""

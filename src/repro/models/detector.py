@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Conv2d, Module, Tensor, losses
+from ..nn import Conv2d, Module, Tensor, losses, no_tape
 from .backbone import Backbone
 
 
@@ -78,7 +78,7 @@ class TinyDetector(Module):
         ``targets[i]`` is the list of ground-truth (x1,y1,x2,y2) boxes for
         image ``i``.
         """
-        raw = self.forward(x)
+        raw = self(x)
         n = raw.shape[0]
         s = self.grid
         obj_target = np.zeros((n, 1, s, s), dtype=np.float32)
@@ -123,7 +123,7 @@ class TinyDetector(Module):
         mode the paper measures (recall collapses, precision stays high —
         Fig. 2), as opposed to phantom-spawning which would crater precision.
         """
-        raw = self.forward(x)
+        raw = self(x)
         n, s = raw.shape[0], self.grid
         positive = np.zeros((n, 1, s, s), dtype=np.float32)
         for i, boxes in enumerate(targets):
@@ -170,7 +170,8 @@ class TinyDetector(Module):
         """Convenience: forward + decode in eval mode on a numpy batch."""
         was_training = self.training
         self.eval()
-        raw = self.forward(Tensor(images)).data
+        with no_tape():
+            raw = self(Tensor(images)).data
         if was_training:
             self.train()
         return self.decode(raw, conf_threshold=conf_threshold)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..data.driving import MAX_DISTANCE
-from ..nn import Linear, Module, ReLU, Sequential, Tensor, losses
+from ..nn import Linear, Module, ReLU, Sequential, Tensor, losses, no_tape
 from ..nn import functional as F
 from .backbone import Backbone
 
@@ -45,7 +45,7 @@ class DistanceRegressor(Module):
         """MSE in normalized-distance space."""
         target = (np.asarray(distances_m, dtype=np.float32)
                   / MAX_DISTANCE).reshape(-1, 1)
-        return losses.mse_loss(self.forward(x), target)
+        return losses.mse_loss(self(x), target)
 
     def attack_loss(self, x: Tensor, true_distances_m: np.ndarray,
                     mode: str = "inflate") -> Tensor:
@@ -58,18 +58,19 @@ class DistanceRegressor(Module):
         (maximize squared error from the truth), kept for ablations.
         """
         if mode == "inflate":
-            return self.forward(x).mean()
+            return self(x).mean()
         if mode == "error":
             target = (np.asarray(true_distances_m, dtype=np.float32)
                       / MAX_DISTANCE).reshape(-1, 1)
-            return losses.mse_loss(self.forward(x), target)
+            return losses.mse_loss(self(x), target)
         raise ValueError(f"unknown attack mode {mode!r}")
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Distances in metres for a numpy batch, eval mode."""
         was_training = self.training
         self.eval()
-        out = self.forward(Tensor(images)).data.reshape(-1) * MAX_DISTANCE
+        with no_tape():
+            out = self(Tensor(images)).data.reshape(-1) * MAX_DISTANCE
         if was_training:
             self.train()
         return out

@@ -14,10 +14,12 @@ from .layers import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, ConvBlock,
                      ReLU, Sequential, SiLU, Tanh)
 from .optim import SGD, Adam, AdamW, CosineSchedule, StepSchedule, clip_grad_norm
 from .tensor import (Tensor, capture_rng, concatenate, default_dtype,
-                     precision, restore_rng, set_default_dtype, stack, where)
+                     input_only, no_tape, precision, restore_rng,
+                     set_default_dtype, stack, tracks, where)
 
 __all__ = [
     "Tensor", "concatenate", "stack", "where",
+    "tracks", "input_only", "no_tape",
     "capture_rng", "restore_rng",
     "default_dtype", "precision", "set_default_dtype",
     "Module", "Sequential", "Conv2d", "Linear", "BatchNorm1d", "BatchNorm2d",

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate
+from .tensor import Tensor, _accumulate, tracks
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -84,12 +84,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def backward(g: np.ndarray) -> None:
         g2d = g.reshape(g.shape[0], f, out_h * out_w)
-        if weight.requires_grad:
+        if tracks(weight):
             grad_w = np.einsum("nfp,nkp->fk", g2d, cols, optimize=True)
             _accumulate(weight, grad_w.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bias is not None and tracks(bias):
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+        if tracks(x):
             grad_cols = np.einsum("fk,nfp->nkp", w2d, g2d, optimize=True)
             grad_x = col2im(grad_cols, x_shape, (kh, kw), stride, padding,
                             (out_h, out_w))

@@ -20,7 +20,8 @@ broadcast operands are reduced back to the operand's shape (see
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Callable, ContextManager, Iterable, Iterator, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -60,6 +61,62 @@ def precision(dtype) -> Iterator[None]:
 def _as_array(value: ArrayLike) -> np.ndarray:
     arr = np.asarray(value, dtype=_DEFAULT_DTYPE)
     return arr
+
+
+# ---------------------------------------------------------------------------
+# The tape rule: which leaves a pass tracks.
+# ---------------------------------------------------------------------------
+
+_NOTHING = object()
+
+#: ``None`` (the default): every tensor with ``requires_grad`` is tracked.
+#: A :class:`Tensor`: input-only mode, that leaf alone is tracked.
+#: ``_NOTHING``: no-tape mode, no tensor is tracked.
+_TAPE_ONLY: object = None
+
+
+def tracks(tensor: "Tensor") -> bool:
+    """Whether the tape records gradient flow into ``tensor``.
+
+    :meth:`Tensor._make` and every backward closure ask this instead of
+    reading ``requires_grad``, so one rule decides what a pass records:
+
+    * off (the default): ``tensor.requires_grad``;
+    * :func:`input_only` ``(leaf)``: ``leaf`` and the non-leaf tensors
+      computed from it.  Parameter leaves are skipped, so a backward writes
+      ``leaf.grad`` alone and computes no weight gradient;
+    * :func:`no_tape`: nothing, so a forward records no closures and frees
+      its intermediates as it runs.
+
+    The arithmetic of every forward and of every gradient that is computed
+    is the same in all three.
+    """
+    only = _TAPE_ONLY
+    if only is None:
+        return tensor.requires_grad
+    return tensor is only or (only is not _NOTHING
+                              and tensor._backward is not None)
+
+
+@contextmanager
+def _tape_rule(only: object) -> Iterator[None]:
+    global _TAPE_ONLY
+    previous = _TAPE_ONLY
+    _TAPE_ONLY = only
+    try:
+        yield
+    finally:
+        _TAPE_ONLY = previous
+
+
+def input_only(leaf: "Tensor") -> ContextManager[None]:
+    """Track ``leaf`` alone; run both the forward and its backward inside."""
+    return _tape_rule(leaf)
+
+
+def no_tape() -> ContextManager[None]:
+    """Track nothing: a forward-only evaluation."""
+    return _tape_rule(_NOTHING)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -127,11 +184,8 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def clone(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.requires_grad:
-            out._parents = (self,)
-            out._backward = lambda g: _accumulate(self, g)
-        return out
+        return Tensor._make(self.data.copy(), (self,),
+                            lambda g: _accumulate(self, g))
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -145,10 +199,10 @@ class Tensor:
         check = hooks.TAPE_CHECK
         if check is not None:
             check("forward", data, backward)
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
+        tracked = tuple(p for p in parents if tracks(p))
+        out = Tensor(data, requires_grad=bool(tracked))
+        if tracked:
+            out._parents = tracked
             out._backward = backward
         return out
 
@@ -159,9 +213,9 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
+            if tracks(self):
                 _accumulate(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
+            if tracks(other):
                 _accumulate(other, _unbroadcast(g, other.shape))
 
         return Tensor._make(self.data + other.data, (self, other), backward)
@@ -178,9 +232,9 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
+            if tracks(self):
                 _accumulate(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
+            if tracks(other):
                 _accumulate(other, _unbroadcast(-g, other.shape))
 
         return Tensor._make(self.data - other.data, (self, other), backward)
@@ -193,9 +247,9 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
+            if tracks(self):
                 _accumulate(self, _unbroadcast(g * b, self.shape))
-            if other.requires_grad:
+            if tracks(other):
                 _accumulate(other, _unbroadcast(g * a, other.shape))
 
         return Tensor._make(a * b, (self, other), backward)
@@ -207,9 +261,9 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
+            if tracks(self):
                 _accumulate(self, _unbroadcast(g / b, self.shape))
-            if other.requires_grad:
+            if tracks(other):
                 _accumulate(other, _unbroadcast(-g * a / (b * b), other.shape))
 
         return Tensor._make(a / b, (self, other), backward)
@@ -232,10 +286,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
+            if tracks(self):
                 ga = g @ np.swapaxes(b, -1, -2)
                 _accumulate(self, _unbroadcast(ga, self.shape))
-            if other.requires_grad:
+            if tracks(other):
                 gb = np.swapaxes(a, -1, -2) @ g
                 _accumulate(other, _unbroadcast(gb, other.shape))
 
@@ -471,7 +525,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
+            if tracks(tensor):
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
                 _accumulate(tensor, g[tuple(index)])
@@ -487,7 +541,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(g: np.ndarray) -> None:
         slices = np.moveaxis(g, axis, 0)
         for tensor, piece in zip(tensors, slices):
-            if tensor.requires_grad:
+            if tracks(tensor):
                 _accumulate(tensor, piece)
 
     data = np.stack([t.data for t in tensors], axis=axis)
@@ -501,9 +555,9 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     cond = np.asarray(condition, dtype=bool)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
+        if tracks(a):
             _accumulate(a, _unbroadcast(g * cond, a.shape))
-        if b.requires_grad:
+        if tracks(b):
             _accumulate(b, _unbroadcast(g * (~cond), b.shape))
 
     return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)

@@ -140,7 +140,7 @@ def test_attack_gradient_guard(monkeypatch):
         with pytest.raises(SanitizeError, match="adversarial input gradient"):
             input_gradient(images, nan_loss)
     # Guard unarmed: gradient flows through (legacy behavior).
-    grad = input_gradient(images, nan_loss)
+    _, grad = input_gradient(images, nan_loss)
     assert np.isnan(grad).all()
 
 

@@ -22,7 +22,9 @@
 #   (lint rules, gradcheck, determinism audit, sanitizers), and the smoke
 #   tier re-run under live REPRO_SANITIZE=nan,alias hooks.  It also fails
 #   if any module under src/ except runtime/digest.py imports hashlib: every
-#   cache key, artifact digest and seed goes through that one module.
+#   cache key, artifact digest and seed goes through that one module.  It
+#   fails if a nested function (a backward closure) under src/repro/nn
+#   reads .requires_grad: closures ask tracks(), the one tape rule.
 # Resume tier (opt-in): crash-consistency end to end — tools/resume_smoke.py
 #   kills a journaled table3 run mid-grid under a fault plan, resumes it via
 #   `repro.cli run --resume`, and asserts the resumed table is bit-identical
@@ -49,6 +51,24 @@ if [[ "${1:-}" == "analyze" ]]; then
         echo "$hashers"
         exit 1
     fi
+
+    echo "== CI analyze: backward closures ask the tape rule =="
+    python - <<'PY'
+import ast, pathlib, sys
+readers = sorted({f"{path}:{node.lineno}"
+                  for path in pathlib.Path("src/repro/nn").rglob("*.py")
+                  for outer in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(outer, ast.FunctionDef)
+                  for inner in ast.walk(outer)
+                  if isinstance(inner, ast.FunctionDef) and inner is not outer
+                  for node in ast.walk(inner)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "requires_grad"})
+if readers:
+    print("backward closures read .requires_grad instead of tracks():")
+    print("\n".join(readers))
+    sys.exit(1)
+PY
 
     echo "== CI analyze: env-var table drift =="
     python -m repro.cli analyze envdoc --check README.md
